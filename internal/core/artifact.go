@@ -1,27 +1,27 @@
-// The raster artifact: the frame path's geometry half — rasterization,
-// span demultiplexing and per-fragment texel address generation — as a
-// first-class, reusable value. Those stages depend only on (scene,
-// resolution, distribution); the cache model, bus bandwidth and buffer depth
-// they feed do not change a single span or address. A RasterArtifact is
-// built once per (scene, resolution, distribution) and replayed into any
-// number of machine configurations, which is what makes dense cache-axis
-// sweeps cheap (internal/sweep's planner) and, being serializable
-// (artifactio.go), lets cluster peers ship the geometry work instead of
-// redoing it.
+// The raster artifact: the frame path's geometry half — rasterization and
+// span demultiplexing, plus optionally per-fragment texel address generation
+// — as a first-class value. It is the only thing the machine's rasterizer
+// produces: a machine with no artifact attached builds a spans-only artifact
+// for each frame and replays it (kernel.go). Those stages depend only on
+// (scene, resolution, distribution); the cache model, bus bandwidth and
+// buffer depth they feed do not change a single span or address. An
+// artifact with recorded footprints is built once per (scene, resolution,
+// distribution) and replayed into any number of machine configurations,
+// which is what makes dense cache-axis sweeps cheap (internal/sweep's
+// planner) and, being serializable (artifactio.go), lets cluster peers ship
+// the geometry work instead of redoing it.
 //
-// Equivalence contract: a machine with an artifact attached produces
-// byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
-// the same machine rasterizing from scratch, on both kernels. The builder
-// runs the exact demultiplexing code path of the distributor and the exact
-// u/v stepping of engine.ProcessTriangle, and the replay side
-// (engine.ProcessPrecomputed) replicates the engine's floating-point
-// operation order verbatim.
+// Equivalence contract: replaying an artifact produces the same results
+// (cycles, counters, cache statistics, FIFO peaks) whether it was built for
+// the frame or attached, spans-only or with footprints, on either kernel.
+// The one builder (buildTriangle) produces every span, and the recorded
+// footprints come from engine.TriangleWork.Record, the address generation
+// of engine.ProcessTriangle.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/distrib"
@@ -29,15 +29,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/par"
 	"repro/internal/raster"
-	"repro/internal/sim"
 	"repro/internal/texture"
 	"repro/internal/trace"
 )
 
 // RasterArtifact is the reusable output of rasterizing a frame sequence on
-// one (scene, resolution, distribution): per frame, the routed triangles in
-// submission order, each carrying its per-node owned segments and
-// run-length-encoded trilinear footprint streams. Build it with
+// one (scene, resolution, distribution): per frame, every source triangle in
+// submission order, each carrying its per-node owned segments and, unless
+// spans-only, run-length-encoded trilinear footprint streams. Build it with
 // BuildRasterArtifact, attach it with Machine.SetRasterArtifact, and ship it
 // with Encode/DecodeRasterArtifact.
 type RasterArtifact struct {
@@ -53,32 +52,31 @@ type RasterArtifact struct {
 	// Textures is the texture table of every frame (frames of a sequence
 	// must share it, as Machine.RunSequenceContext requires).
 	Textures []trace.TexSize
-	// HasFootprints reports whether texel address streams were generated.
-	// A spans-only artifact (ArtifactOpts.SpansOnly) replays only on
-	// pure-scan machines: perfect cache on an infinite bus.
+	// HasFootprints reports whether texel address streams were recorded.
+	// Replaying a spans-only artifact (ArtifactOpts.SpansOnly) regenerates
+	// them from the source triangles, as a machine without an artifact does.
 	HasFootprints bool
 	// Frames holds one entry per frame, in sequence order.
 	Frames []*FrameArtifact
 }
 
-// FrameArtifact is one frame's routed triangles.
+// FrameArtifact is one frame's triangles.
 type FrameArtifact struct {
 	// Name is the source frame's scene name.
 	Name string
-	// Triangles is the source frame's triangle count, including off-screen
-	// triangles that routed nowhere (absent from Tris).
-	Triangles int
-	// Tris holds the routed triangles in submission order.
+	// Tris holds one entry per source triangle, in submission order, so an
+	// entry's index is its source triangle's. An off-screen triangle routes
+	// nowhere and has no destinations.
 	Tris []ArtifactTriangle
 	// counts is each node's routed triangle count — its FIFO occupancy at
 	// time zero in the event kernel. Derived by finalize.
 	counts []int
 	// perNode indexes each node's work in submission order. Derived by
 	// finalize; shared replays only read it.
-	perNode [][]*ArtifactDest
+	perNode [][]destRef
 }
 
-// ArtifactTriangle is one routed triangle: its destinations in route order.
+// ArtifactTriangle is one triangle: its destinations in route order.
 type ArtifactTriangle struct {
 	Dests []ArtifactDest
 }
@@ -89,29 +87,34 @@ type ArtifactDest struct {
 	Work engine.PrecomputedWork
 }
 
-// Counts returns each node's routed triangle count for frame fi.
-func (a *RasterArtifact) Counts(fi int) []int { return a.Frames[fi].counts }
+// destRef names one (triangle, destination) work item of a frame:
+// Tris[tri].Dests[dest].
+type destRef struct{ tri, dest int32 }
 
-// finalize derives every frame's per-node index and counts. Called by the
+// finalize derives the frame's per-node counts and index. Called by the
 // builder and the decoder; the derived state is read-only afterwards, so a
 // finalized artifact is safe for concurrent replays.
-func (a *RasterArtifact) finalize() {
-	for _, f := range a.Frames {
-		f.counts = make([]int, a.Procs)
-		f.perNode = make([][]*ArtifactDest, a.Procs)
-		for i := range f.Tris {
-			for j := range f.Tris[i].Dests {
-				f.counts[f.Tris[i].Dests[j].Node]++
-			}
+func (f *FrameArtifact) finalize(procs int) {
+	f.counts = make([]int, procs)
+	for i := range f.Tris {
+		for _, d := range f.Tris[i].Dests {
+			f.counts[d.Node]++
 		}
-		for p := range f.perNode {
-			f.perNode[p] = make([]*ArtifactDest, 0, f.counts[p])
-		}
-		for i := range f.Tris {
-			for j := range f.Tris[i].Dests {
-				d := &f.Tris[i].Dests[j]
-				f.perNode[d.Node] = append(f.perNode[d.Node], d)
-			}
+	}
+	// One backing array holds every node's index.
+	refs := 0
+	for _, n := range f.counts {
+		refs += n
+	}
+	backing := make([]destRef, 0, refs)
+	f.perNode = make([][]destRef, procs)
+	for p, n := range f.counts {
+		f.perNode[p] = backing[len(backing) : len(backing) : len(backing)+n]
+		backing = backing[:len(backing)+n]
+	}
+	for i := range f.Tris {
+		for j, d := range f.Tris[i].Dests {
+			f.perNode[d.Node] = append(f.perNode[d.Node], destRef{int32(i), int32(j)})
 		}
 	}
 }
@@ -122,9 +125,9 @@ func (a *RasterArtifact) finalize() {
 type ArtifactOpts struct {
 	// Workers bounds the build's parallelism (<=0 = GOMAXPROCS).
 	Workers int
-	// SpansOnly skips the texel address streams. The artifact then replays
-	// only on pure-scan machines (perfect cache, infinite bus), which never
-	// consult addresses; building it is several times cheaper.
+	// SpansOnly skips the texel address streams. Building is then several
+	// times cheaper, and replay generates the addresses inline; a
+	// pure-scan machine (perfect cache, infinite bus) never needs them.
 	SpansOnly bool
 }
 
@@ -189,61 +192,35 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 		}
 		a.Frames = append(a.Frames, fa)
 	}
-	a.finalize()
 	return a, nil
 }
 
-// buildFrameArtifact rasterizes one frame across worker goroutines. Each
-// chunk writes a disjoint index range of the triangle slice, so the routed
-// order — and every span and address — is independent of scheduling.
+// buildFrameArtifact rasterizes one frame across worker goroutines and
+// finalizes it. Each chunk writes a disjoint index range of the triangle
+// slice, so every span and address is independent of scheduling.
 func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, workers int, footprints bool) (*FrameArtifact, error) {
-	fa := &FrameArtifact{Name: f.Name, Triangles: len(f.Triangles)}
-	if len(f.Triangles) == 0 {
-		return fa, nil
-	}
-	if workers > len(f.Triangles) {
-		workers = len(f.Triangles)
-	}
-	nChunks := workers * 4
-	if nChunks > len(f.Triangles) {
-		nChunks = len(f.Triangles)
-	}
+	n := len(f.Triangles)
+	fa := &FrameArtifact{Name: f.Name, Tris: make([]ArtifactTriangle, n)}
+	// Finer-than-worker chunks smooth out uneven per-triangle cost.
+	nChunks := min(workers*4, n)
 	procs := d.NumProcs()
-	all := make([]ArtifactTriangle, len(f.Triangles))
 	err := par.ForEach(ctx, workers, nChunks, func(c int) error {
-		w := artifactScratch{
-			route: make([]int, 0, procs),
-			spans: make([][]raster.Span, procs),
-		}
-		lo, hi := c*len(f.Triangles)/nChunks, (c+1)*len(f.Triangles)/nChunks
+		w := newArtifactScratch(procs)
+		lo, hi := c*n/nChunks, (c+1)*n/nChunks
 		for i := lo; i < hi; i++ {
 			if (i-lo)%ctxPollTriangles == 0 && i > lo {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			all[i] = buildTriangle(&w, d, rast, mgr, f, i, footprints)
+			fa.Tris[i] = buildTriangle(w, d, rast, mgr, f, i, footprints)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Compact away triangles that routed nowhere (off-screen), preserving
-	// submission order — the distributor skips them without any timing
-	// effect, so the replay never needs to see them.
-	routed := 0
-	for i := range all {
-		if len(all[i].Dests) > 0 {
-			routed++
-		}
-	}
-	fa.Tris = make([]ArtifactTriangle, 0, routed)
-	for i := range all {
-		if len(all[i].Dests) > 0 {
-			fa.Tris = append(fa.Tris, all[i])
-		}
-	}
+	fa.finalize(procs)
 	return fa, nil
 }
 
@@ -251,29 +228,46 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 type artifactScratch struct {
 	route   []int
 	spanBuf []raster.Span
-	spans   [][]raster.Span
+	spans   [][]raster.Span // per-proc owned segments of one triangle
+	// emit appends one owned segment of row y to its node's spans. Built
+	// once per worker: a closure passed per span through the Distribution
+	// interface would be a heap allocation per span.
+	y    int
+	emit func(proc, x0, x1 int)
+}
+
+func newArtifactScratch(procs int) *artifactScratch {
+	w := &artifactScratch{
+		route: make([]int, 0, procs),
+		spans: make([][]raster.Span, procs),
+	}
+	w.emit = func(proc, x0, x1 int) {
+		w.spans[proc] = append(w.spans[proc], raster.Span{Y: w.y, X0: x0, X1: x1})
+	}
+	return w
 }
 
 // buildTriangle rasterizes triangle i once, demultiplexes its spans per
-// owning node — the same code path as the distributor and the parallel
-// kernel, so spans are identical — and, when footprints is set, generates
-// each destination's texel address stream with the exact per-span u/v
-// stepping of engine.ProcessTriangle.
+// routed node and, when footprints is set, records each destination's texel
+// address stream. It is the one place spans are demultiplexed.
 func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
 	t := &f.Triangles[i]
-	tex := mgr.Texture(t.TexID)
-	lod := t.Tex.LOD()
-
 	dests := d.Route(t.BBox(), w.route[:0])
+	w.route = dests[:0]
+	if len(dests) == 0 {
+		return ArtifactTriangle{}
+	}
 	for _, p := range dests {
 		w.spans[p] = w.spans[p][:0]
 	}
 	w.spanBuf = rast.AppendSpans(*t, f.Screen, w.spanBuf[:0])
 	for _, sp := range w.spanBuf {
-		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, func(proc, x0, x1 int) {
-			w.spans[proc] = append(w.spans[proc], raster.Span{Y: sp.Y, X0: x0, X1: x1})
-		})
+		w.y = sp.Y
+		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, w.emit)
 	}
+	// One backing array holds every destination's segments for this
+	// triangle, so a triangle costs one allocation however many nodes it
+	// fans out to.
 	total := 0
 	for _, p := range dests {
 		total += len(w.spans[p])
@@ -291,51 +285,27 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 			backing = append(backing, segs...)
 			owned = backing[start:len(backing):len(backing)]
 		}
-		work := engine.PrecomputedWork{Segments: owned}
+		dest := ArtifactDest{Node: p, Work: engine.PrecomputedWork{Segments: owned}}
 		if footprints && len(owned) > 0 {
-			buildFootprints(tex, t.Tex, lod, owned, &work)
+			tw := triangleWork(mgr, t, owned)
+			tw.Record(&dest.Work)
 		}
-		out.Dests = append(out.Dests, ArtifactDest{Node: p, Work: work})
+		out.Dests = append(out.Dests, dest)
 	}
-	w.route = dests[:0]
 	return out
 }
 
-// buildFootprints generates the run-length-encoded footprint stream for one
-// destination's segments. The u/v arithmetic — recomputed at each span
-// start, stepped per pixel — mirrors engine.ProcessTriangle exactly, so the
-// addresses are the ones the engine would have generated.
-func buildFootprints(tex *texture.Texture, tm geom.TexMap, lod float64, segs []raster.Span, work *engine.PrecomputedWork) {
-	var foot, prev [8]texture.Addr
-	have := false
-	for _, sp := range segs {
-		yc := float64(sp.Y) + 0.5
-		xc := float64(sp.X0) + 0.5
-		u := tm.U0 + tm.DuDx*xc + tm.DuDy*yc
-		v := tm.V0 + tm.DvDx*xc + tm.DvDy*yc
-		for x := sp.X0; x < sp.X1; x++ {
-			tex.TrilinearFootprint(u, v, lod, &foot)
-			if have && foot == prev && work.Reps[len(work.Reps)-1] < math.MaxInt32 {
-				work.Reps[len(work.Reps)-1]++
-			} else {
-				work.Addrs = append(work.Addrs, foot[:]...)
-				work.Reps = append(work.Reps, 1)
-				prev = foot
-				have = true
-			}
-			u += tm.DuDx
-			v += tm.DvDx
-		}
-	}
+// triangleWork is triangle t's work for one node owning segs.
+func triangleWork(mgr *texture.Manager, t *geom.Triangle, segs []raster.Span) engine.TriangleWork {
+	return engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD(), Segments: segs}
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
 // replay it instead of rasterizing, with byte-identical results. The
-// artifact must match the machine's scene, screen and distribution; a
-// spans-only artifact additionally requires a pure-scan machine (perfect
-// cache, infinite bus). The caller must run the machine on the frames the
-// artifact was built from — identity is sanity-checked per run by name,
-// screen and triangle count. Pass nil to detach.
+// artifact must match the machine's scene, screen and distribution. The
+// caller must run the machine on the frames the artifact was built from —
+// identity is sanity-checked per run by name, screen and triangle count.
+// Pass nil to detach.
 func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if a == nil {
 		m.artifact = nil
@@ -358,10 +328,6 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 				i, ts, m.scene.Textures[i])
 		}
 	}
-	if !a.HasFootprints && !m.engines[0].PureScan() {
-		return fmt.Errorf("core: spans-only artifact cannot replay on a %s-cache machine (footprint streams required)",
-			m.cfg.CacheKind)
-	}
 	m.artifact = a
 	return nil
 }
@@ -374,152 +340,13 @@ func (m *Machine) checkArtifactFrames(frames []*trace.Scene) error {
 		return fmt.Errorf("core: run has %d frames, artifact %d", len(frames), len(a.Frames))
 	}
 	for i, f := range frames {
-		if f.Name != a.Frames[i].Name || len(f.Triangles) != a.Frames[i].Triangles {
+		if f.Name != a.Frames[i].Name || len(f.Triangles) != len(a.Frames[i].Tris) {
 			return fmt.Errorf("core: frame %d is %q (%d triangles), artifact was built from %q (%d)",
-				i, f.Name, len(f.Triangles), a.Frames[i].Name, a.Frames[i].Triangles)
+				i, f.Name, len(f.Triangles), a.Frames[i].Name, len(a.Frames[i].Tris))
 		}
 		if f.Screen != a.Screen {
 			return fmt.Errorf("core: frame %d screen %v, artifact screen %v", i, f.Screen, a.Screen)
 		}
 	}
 	return nil
-}
-
-// runFrameArtifact replays one frame from the attached artifact, through the
-// parallel kernel when the kernel-equivalence preconditions hold and the
-// coupled event kernel otherwise — the same results as rasterizing from
-// scratch. Unlike runFrame's dispatch, the worker count does not gate the
-// choice: the preconditions (default-or-larger triangle buffer, no flight
-// recorder, every per-node FIFO count fits) are what make the two kernels
-// byte-identical, and with the routing pre-pass already in the artifact the
-// decoupled replay is cheaper than the event kernel even on one worker.
-func (m *Machine) runFrameArtifact(ctx context.Context, fa *FrameArtifact) error {
-	if m.cfg.TriangleBuffer >= DefaultTriangleBuffer && m.flight == nil {
-		fits := true
-		for _, n := range fa.counts {
-			if n > m.cfg.TriangleBuffer {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return m.replayParallel(ctx, fa)
-		}
-	}
-	return m.replayEvents(ctx, fa)
-}
-
-// replayParallel is the parallel kernel over artifact work: every node
-// pipeline simulates independently with the event kernel's exact arrival
-// arithmetic. The routing pre-pass and demux phases are already in the
-// artifact, so this is phase 2 of runFrameParallel alone.
-func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
-	procs := m.cfg.Procs
-	workers := m.nodeParallelism()
-	if workers > procs {
-		workers = procs
-	}
-	err := par.ForEach(ctx, workers, procs, func(p int) error {
-		e := m.engines[p]
-		arrival := 0.0
-		for k, d := range fa.perNode[p] {
-			if k%ctxPollTriangles == 0 && k > 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			done := e.ProcessPrecomputed(arrival, &d.Work)
-			arrival = float64(sim.Time(math.Ceil(done)))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], fa.counts...)
-	m.parallelFrames++
-	return nil
-}
-
-// replayEvents is the coupled event kernel over artifact work: the same
-// FIFO machinery, back-pressure and deadlock check as runFrameEvents, with
-// the distributor's rasterization replaced by the artifact's triangle list.
-func (m *Machine) replayEvents(ctx context.Context, fa *FrameArtifact) error {
-	s := sim.New()
-	d := &artifactDistributor{sim: s, fa: fa}
-	for i := 0; i < m.cfg.Procs; i++ {
-		d.fifos = append(d.fifos, sim.NewFIFO[*engine.PrecomputedWork](s, m.cfg.TriangleBuffer))
-	}
-	s.At(0, d.step)
-	for i := 0; i < m.cfg.Procs; i++ {
-		n := &artifactNode{sim: s, engine: m.engines[i], fifo: d.fifos[i]}
-		s.At(0, n.step)
-	}
-	if err := runSim(ctx, s); err != nil {
-		return err
-	}
-	if !d.done || d.next != len(fa.Tris) {
-		panic(fmt.Sprintf("core: artifact replay deadlock: distributed %d of %d triangles",
-			d.next, len(fa.Tris)))
-	}
-	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for _, fifo := range d.fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
-	}
-	return nil
-}
-
-// artifactDistributor feeds artifact triangles in submission order to the
-// routed nodes' FIFOs, blocking while any destination FIFO is full —
-// distributor.step without the rasterization.
-type artifactDistributor struct {
-	sim   *sim.Simulator
-	fa    *FrameArtifact
-	fifos []*sim.FIFO[*engine.PrecomputedWork]
-
-	next    int
-	pending []*ArtifactDest
-	done    bool
-}
-
-func (d *artifactDistributor) step(now sim.Time) {
-	for {
-		if len(d.pending) == 0 {
-			if d.next == len(d.fa.Tris) {
-				d.done = true
-				return
-			}
-			tri := &d.fa.Tris[d.next]
-			d.next++
-			d.pending = d.pending[:0]
-			for j := range tri.Dests {
-				d.pending = append(d.pending, &tri.Dests[j])
-			}
-		}
-		for len(d.pending) > 0 {
-			dst := d.pending[0]
-			if !d.fifos[dst.Node].TryPush(&dst.Work) {
-				d.fifos[dst.Node].WaitSpace(d.step)
-				return
-			}
-			d.pending = d.pending[1:]
-		}
-	}
-}
-
-// artifactNode is one node's consumer loop over precomputed work.
-type artifactNode struct {
-	sim    *sim.Simulator
-	engine *engine.Engine
-	fifo   *sim.FIFO[*engine.PrecomputedWork]
-}
-
-func (n *artifactNode) step(now sim.Time) {
-	w, ok := n.fifo.TryPop()
-	if !ok {
-		n.fifo.WaitItem(n.step)
-		return
-	}
-	done := n.engine.ProcessPrecomputed(float64(now), w)
-	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }

@@ -15,16 +15,16 @@ import (
 )
 
 // runArtifactPair simulates frames under cfg from scratch and by replaying a
-// prebuilt raster artifact, on the given kernel setting, and fails unless the
-// per-frame results are byte-identical after JSON encoding. It returns the
-// replaying machine.
-func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar int, opts ArtifactOpts) *Machine {
+// prebuilt raster artifact, both forced onto the event kernel when events is
+// set, and fails unless the per-frame results are byte-identical after JSON
+// encoding. It returns the replaying machine.
+func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, events bool, opts ArtifactOpts) *Machine {
 	t.Helper()
 	direct, err := NewMachine(frames[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.SetNodeParallelism(nodePar)
+	direct.forceEvents = events
 	want, err := direct.RunSequence(frames)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay.SetNodeParallelism(nodePar)
+	replay.forceEvents = events
 	if err := replay.SetRasterArtifact(a); err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +81,13 @@ func TestArtifactReplayEquivalenceMatrix(t *testing.T) {
 		s := benchSceneFor(t, name, 0.1)
 		for _, d := range dists {
 			for _, ck := range caches {
-				for _, nodePar := range []int{1, 4} {
+				for _, events := range []bool{true, false} {
 					cfg := Config{
 						Procs: 8, Distribution: d.kind, TileSize: d.tile,
 						CacheKind: ck,
 						Bus:       memory.BusConfig{TexelsPerCycle: 2},
 					}
-					runArtifactPair(t, []*trace.Scene{s}, cfg, nodePar, ArtifactOpts{})
+					runArtifactPair(t, []*trace.Scene{s}, cfg, events, ArtifactOpts{})
 				}
 			}
 		}
@@ -107,8 +107,8 @@ func TestArtifactReplayNoRepeatGuarantee(t *testing.T) {
 		},
 		Bus: memory.BusConfig{TexelsPerCycle: 1},
 	}
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 1, ArtifactOpts{})
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{})
+	runArtifactPair(t, []*trace.Scene{s}, cfg, true, ArtifactOpts{})
+	runArtifactPair(t, []*trace.Scene{s}, cfg, false, ArtifactOpts{})
 }
 
 // TestArtifactReplayL2 checks replay with the two-level hierarchy and a
@@ -120,7 +120,7 @@ func TestArtifactReplayL2(t *testing.T) {
 		Bus:     memory.BusConfig{TexelsPerCycle: 2},
 		MainBus: memory.BusConfig{TexelsPerCycle: 1},
 	}
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{})
+	runArtifactPair(t, []*trace.Scene{s}, cfg, false, ArtifactOpts{})
 }
 
 // TestArtifactReplaySequence checks frame sequences: one artifact holds all
@@ -129,7 +129,7 @@ func TestArtifactReplayL2(t *testing.T) {
 func TestArtifactReplaySequence(t *testing.T) {
 	base := benchSceneFor(t, "room3", 0.1)
 	frames := scene.PanSequence(base, 4, 3, 1)
-	m := runArtifactPair(t, frames, Config{Procs: 8, TileSize: 8}, 4, ArtifactOpts{})
+	m := runArtifactPair(t, frames, Config{Procs: 8, TileSize: 8}, false, ArtifactOpts{})
 	if m.parallelFrames != len(frames) {
 		t.Errorf("replay ran %d of %d frames on the parallel kernel", m.parallelFrames, len(frames))
 	}
@@ -140,30 +140,25 @@ func TestArtifactReplaySequence(t *testing.T) {
 // FIFO peaks included.
 func TestArtifactReplayEventKernel(t *testing.T) {
 	s := testScene(5, 60, 96)
-	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
+	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, false, ArtifactOpts{})
 	if m.parallelFrames != 0 {
 		t.Error("parallel kernel engaged despite a small triangle buffer")
 	}
 }
 
-// TestArtifactSpansOnly: a spans-only artifact replays on a pure-scan machine
-// (perfect cache, infinite bus) and is rejected anywhere addresses matter.
+// TestArtifactSpansOnly: a spans-only artifact replays byte-identically on
+// every machine — a pure-scan one never consults addresses, and any other
+// regenerates them inline from the source triangles — on both kernels.
 func TestArtifactSpansOnly(t *testing.T) {
 	s := testScene(11, 50, 64)
-	pure := Config{Procs: 4, CacheKind: CachePerfect}
-	runArtifactPair(t, []*trace.Scene{s}, pure, 4, ArtifactOpts{SpansOnly: true})
-
-	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, 4,
-		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(s, Config{Procs: 4}) // real cache needs footprints
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetRasterArtifact(a); err == nil {
-		t.Error("spans-only artifact accepted by a real-cache machine")
+	for _, cfg := range []Config{
+		{Procs: 4, CacheKind: CachePerfect},
+		{Procs: 4, Bus: memory.BusConfig{TexelsPerCycle: 1}},
+		{Procs: 4, CacheKind: CacheNone, Bus: memory.BusConfig{TexelsPerCycle: 2}},
+	} {
+		for _, events := range []bool{true, false} {
+			runArtifactPair(t, []*trace.Scene{s}, cfg, events, ArtifactOpts{SpansOnly: true})
+		}
 	}
 }
 

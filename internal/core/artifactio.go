@@ -3,7 +3,9 @@
 // peers move precomputed render work instead of redoing it). The format is
 // versioned and self-describing enough to reject mismatched streams; it is
 // not meant to survive format evolution silently — a version bump is a
-// decode error, never a guess.
+// decode error, never a guess. Decoding is strict: the decoder accepts only
+// the bytes the encoder writes (minimal varints, 0/1 booleans, no trailing
+// data), so an accepted stream re-encodes to itself.
 package core
 
 import (
@@ -23,12 +25,19 @@ import (
 // artifactMagic identifies a serialized RasterArtifact stream.
 var artifactMagic = [4]byte{'T', 'X', 'R', 'A'}
 
-// artifactVersion is the current format version.
-const artifactVersion = 1
+// artifactVersion is the current format version. Version 2 stores every
+// source triangle of a frame, off-screen ones with no destinations, in
+// place of version 1's routed triangles plus a source triangle count.
+const artifactVersion = 2
 
 // maxArtifactPrealloc caps slice preallocation from decoded counts, so a
 // corrupt length prefix costs an error, not memory.
 const maxArtifactPrealloc = 1 << 20
+
+// maxArtifactNodeFrames bounds a decoded artifact's processors × frames
+// (e.g. 64 nodes × 4096 frames): every frame's derived per-node index is
+// sized by the node count, so a corrupt count costs an error, not memory.
+const maxArtifactNodeFrames = 1 << 18
 
 // EncodeRasterArtifact writes a to w in the versioned binary format.
 func EncodeRasterArtifact(w io.Writer, a *RasterArtifact) error {
@@ -53,7 +62,6 @@ func EncodeRasterArtifact(w io.Writer, a *RasterArtifact) error {
 	e.uvarint(uint64(len(a.Frames)))
 	for _, f := range a.Frames {
 		e.string(f.Name)
-		e.uvarint(uint64(f.Triangles))
 		e.uvarint(uint64(len(f.Tris)))
 		for i := range f.Tris {
 			dests := f.Tris[i].Dests
@@ -81,8 +89,9 @@ func EncodeRasterArtifact(w io.Writer, a *RasterArtifact) error {
 	return bw.Flush()
 }
 
-// DecodeRasterArtifact reads an artifact encoded by EncodeRasterArtifact.
-// The returned artifact is finalized and ready for SetRasterArtifact.
+// DecodeRasterArtifact reads an artifact encoded by EncodeRasterArtifact;
+// the stream must end with the artifact. The returned artifact is finalized
+// and ready for SetRasterArtifact.
 func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 	d := &artifactDecoder{r: bufio.NewReader(r)}
 	var magic [4]byte
@@ -110,7 +119,7 @@ func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 	nFrames := d.count()
 	a.Frames = make([]*FrameArtifact, 0, min(nFrames, maxArtifactPrealloc))
 	for i := 0; i < nFrames && d.err == nil; i++ {
-		f := &FrameArtifact{Name: d.string(), Triangles: d.count()}
+		f := &FrameArtifact{Name: d.string()}
 		nTris := d.count()
 		f.Tris = make([]ArtifactTriangle, 0, min(nTris, maxArtifactPrealloc))
 		for j := 0; j < nTris && d.err == nil; j++ {
@@ -140,21 +149,28 @@ func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 		}
 		a.Frames = append(a.Frames, f)
 	}
+	if d.err == nil {
+		if _, err := d.r.ReadByte(); err != io.EOF {
+			d.err = fmt.Errorf("trailing data after the last frame")
+		}
+	}
 	if d.err != nil {
 		return nil, fmt.Errorf("core: decoding raster artifact: %w", d.err)
 	}
 	if err := a.validateDecoded(); err != nil {
 		return nil, err
 	}
-	a.finalize()
+	for _, f := range a.Frames {
+		f.finalize(a.Procs)
+	}
 	return a, nil
 }
 
 // validateDecoded rejects streams whose structure is internally inconsistent,
 // so a decoded artifact upholds the same invariants a built one does.
 func (a *RasterArtifact) validateDecoded() error {
-	if a.Procs <= 0 {
-		return fmt.Errorf("core: artifact has %d processors", a.Procs)
+	if a.Procs <= 0 || a.Procs*max(len(a.Frames), 1) > maxArtifactNodeFrames {
+		return fmt.Errorf("core: artifact has %d processors × %d frames", a.Procs, len(a.Frames))
 	}
 	for fi, f := range a.Frames {
 		for ti := range f.Tris {
@@ -167,9 +183,17 @@ func (a *RasterArtifact) validateDecoded() error {
 					return fmt.Errorf("core: artifact frame %d triangle %d: %d addresses for %d runs",
 						fi, ti, len(dest.Work.Addrs), len(dest.Work.Reps))
 				}
+				if !a.HasFootprints && len(dest.Work.Reps) > 0 {
+					return fmt.Errorf("core: artifact frame %d triangle %d: footprint runs in a spans-only artifact",
+						fi, ti)
+				}
 				if a.HasFootprints {
 					frags := 0
 					for _, r := range dest.Work.Reps {
+						if r < 1 {
+							return fmt.Errorf("core: artifact frame %d triangle %d: run of %d fragments",
+								fi, ti, r)
+						}
 						frags += int(r)
 					}
 					if frags != dest.Work.Frags() {
@@ -242,21 +266,39 @@ func (d *artifactDecoder) bytes(b []byte) {
 	}
 }
 
+// uvarint reads a minimally encoded unsigned varint, the only form
+// binary.PutUvarint writes.
 func (d *artifactDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	var v uint64
+	for shift := 0; d.err == nil; shift += 7 {
+		b, err := d.r.ReadByte()
+		if err != nil {
+			d.err = io.ErrUnexpectedEOF
+			return 0
+		}
+		if shift == 63 && b > 1 {
+			d.err = fmt.Errorf("varint overflows 64 bits")
+			return 0
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			if b == 0 && shift > 0 {
+				d.err = fmt.Errorf("non-minimal varint")
+				return 0
+			}
+			return v
+		}
 	}
-	v, err := binary.ReadUvarint(d.r)
-	d.err = err
-	return v
+	return 0
 }
 
+// varint reads a zig-zag signed varint, as binary.PutVarint writes it.
 func (d *artifactDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, err := binary.ReadVarint(d.r)
-	d.err = err
 	return v
 }
 
@@ -292,7 +334,10 @@ func (d *artifactDecoder) int32() int32 {
 func (d *artifactDecoder) bool() bool {
 	var b [1]byte
 	d.bytes(b[:])
-	return b[0] != 0
+	if d.err == nil && b[0] > 1 {
+		d.err = fmt.Errorf("boolean byte %d", b[0])
+	}
+	return b[0] == 1
 }
 
 func (d *artifactDecoder) string() string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/distrib"
@@ -73,12 +74,50 @@ func TestArtifactDecodeRejects(t *testing.T) {
 	if _, err := DecodeRasterArtifact(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	bad := append([]byte(nil), good...)
-	bad[4] = 99 // version varint
-	if _, err := DecodeRasterArtifact(bytes.NewReader(bad)); err == nil {
-		t.Error("bad version accepted")
+	for _, v := range []byte{1, 99} { // v1 (routed triangles only) and unknown
+		bad := append([]byte(nil), good...)
+		bad[4] = v // version varint
+		if _, err := DecodeRasterArtifact(bytes.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "version") {
+			t.Errorf("version %d: err = %v, want a version error", v, err)
+		}
 	}
 	if _, err := DecodeRasterArtifact(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Error("truncated stream accepted")
 	}
+	if _, err := DecodeRasterArtifact(bytes.NewReader(append(good[:len(good):len(good)], 0))); err == nil {
+		t.Error("trailing data accepted")
+	}
+}
+
+// FuzzDecodeRasterArtifact: decoding arbitrary bytes never panics, and a
+// stream the decoder accepts re-encodes to exactly the same bytes. Seeds:
+// testdata/fuzz/FuzzDecodeRasterArtifact plus freshly built artifacts.
+func FuzzDecodeRasterArtifact(f *testing.F) {
+	s := testScene(3, 12, 48)
+	for _, opts := range []ArtifactOpts{{}, {SpansOnly: true}} {
+		a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s, s}, 2,
+			distrib.BlockKind, 16, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeRasterArtifact(&buf, a); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeRasterArtifact(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeRasterArtifact(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted stream re-encodes differently\ninput:   %x\nencoded: %x", data, buf.Bytes())
+		}
+	})
 }

@@ -10,24 +10,23 @@
 // owning no fragment, and pays at least the triangle setup cost — the
 // small-triangle overhead of the paper's section 2.3.
 //
-// The simulation is event-driven on the sim kernel: one event per
-// (triangle, node), with the node-internal pixel pipeline timed by
-// internal/engine. The distributor back-pressures on full FIFOs, which is
-// what couples nodes together and makes the triangle-buffer-size experiment
-// (paper §8) meaningful.
+// Each frame is rasterized and demultiplexed once into a raster artifact
+// (artifact.go), which the nodes then replay, with the node-internal pixel
+// pipeline timed by internal/engine. Full triangle FIFOs back-pressure the
+// distributor, which is what couples nodes together and makes the
+// triangle-buffer-size experiment (paper §8) meaningful; only then does the
+// frame run on the event-driven sim kernel (kernel.go).
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/raster"
-	"repro/internal/sim"
 	"repro/internal/telemetry/flight"
 	"repro/internal/texture"
 	"repro/internal/trace"
@@ -264,15 +263,18 @@ type Machine struct {
 	lastFIFOPeaks []int
 	// flight, when non-nil, records every node's per-phase cycle timeline.
 	flight *flight.Recorder
-	// nodePar bounds the parallel kernel's workers (see SetNodeParallelism);
-	// 0 means runtime.GOMAXPROCS(0), 1 forces the event-driven kernel.
+	// nodePar bounds the frame workers (see SetNodeParallelism); 0 means
+	// runtime.GOMAXPROCS(0).
 	nodePar int
 	// artifact, when non-nil, replaces rasterization with replay of a
 	// prebuilt raster artifact (see SetRasterArtifact).
 	artifact *RasterArtifact
-	// parallelFrames counts frames simulated by the parallel kernel, so
+	// parallelFrames counts frames simulated by the decoupled kernel, so
 	// tests can assert which kernel actually ran.
 	parallelFrames int
+	// forceEvents runs every frame on the event kernel: tests set it to
+	// check the decoupled kernel against the coupled reference.
+	forceEvents bool
 }
 
 // NewMachine builds a machine for the scene. The scene's texture table is
@@ -295,28 +297,12 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
-		scene: scene,
-		dist:  d,
-		rast:  raster.New(scene.Screen),
-		mgr:   mgr,
-	}
-	for i := 0; i < cfg.Procs; i++ {
-		var c cache.Model
-		switch cfg.CacheKind {
-		case CachePerfect:
-			c = cache.NewPerfect()
-		case CacheNone:
-			c = cache.NewNone()
-		default:
-			c = cache.New(cfg.CacheConfig)
-		}
-		bus := memory.NewBus(cfg.Bus)
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, bus)
-		if cfg.HasL2() {
-			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
-		}
-		m.engines = append(m.engines, e)
+		cfg:     cfg,
+		scene:   scene,
+		dist:    d,
+		rast:    raster.New(scene.Screen),
+		mgr:     mgr,
+		engines: newEngines(cfg),
 	}
 	return m, nil
 }
@@ -398,13 +384,16 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	frameStart := 0.0
 	var results []*Result
 	for fi, f := range frames {
-		if err := m.runFrame(ctx, fi, f); err != nil {
+		if err := m.runFrameArtifact(ctx, fi, f); err != nil {
 			return nil, err
 		}
 		res := &Result{Config: m.cfg, Scene: f.Name}
 		frameEnd := frameStart
 		for i, e := range m.engines {
-			cum := m.snapshot(i)
+			cum := nodeResult(e)
+			if i < len(m.lastFIFOPeaks) {
+				cum.FIFOPeak = m.lastFIFOPeaks[i]
+			}
 			nr := cum.sub(prev[i])
 			prev[i] = cum
 			res.Nodes = append(res.Nodes, nr)
@@ -430,91 +419,32 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	return results, nil
 }
 
-// cancelCheckEvents is how many simulation events fire between context
-// polls: frequent enough that cancellation lands within microseconds of real
-// time, rare enough to stay invisible in profiles.
-const cancelCheckEvents = 1 << 14
-
-// runFrame simulates frame fi's triangle stream, dispatching to the
-// parallel kernel (parallel.go) when the triangle FIFOs provably never
-// back-pressure, and to the coupled event-driven kernel otherwise. Both
-// kernels produce byte-identical results; the event kernel is the reference.
-// With a raster artifact attached, the same dispatch replays the artifact's
-// frame instead of rasterizing (artifact.go), again byte-identically.
-func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
-	if m.artifact != nil {
-		return m.runFrameArtifact(ctx, m.artifact.Frames[fi])
-	}
-	if m.parallelEligible() {
-		ran, err := m.runFrameParallel(ctx, f)
-		if ran || err != nil {
-			return err
+// newEngines builds cfg's node engines (cfg already defaulted): each with
+// its own cache model and texture bus, plus the optional L2 level.
+func newEngines(cfg Config) []*engine.Engine {
+	engines := make([]*engine.Engine, cfg.Procs)
+	for i := range engines {
+		var c cache.Model
+		switch cfg.CacheKind {
+		case CachePerfect:
+			c = cache.NewPerfect()
+		case CacheNone:
+			c = cache.NewNone()
+		default:
+			c = cache.New(cfg.CacheConfig)
 		}
+		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
+		if cfg.HasL2() {
+			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
+		}
+		engines[i] = e
 	}
-	return m.runFrameEvents(ctx, f)
+	return engines
 }
 
-// runSim drives an event simulation to completion, polling ctx between
-// batches of cancelCheckEvents events; an uncancellable context runs the
-// tight loop.
-func runSim(ctx context.Context, s *sim.Simulator) error {
-	if ctx.Done() == nil {
-		s.Run()
-		return nil
-	}
-	for {
-		ran := false
-		for i := 0; i < cancelCheckEvents; i++ {
-			if !s.Step() {
-				break
-			}
-			ran = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !ran {
-			return nil
-		}
-	}
-}
-
-// runFrameEvents drives the event simulation of one frame's triangle stream.
-// A cancelled context abandons the frame mid-flight and leaves the machine in
-// an undefined (but safely reusable-after-Reset) state.
-func (m *Machine) runFrameEvents(ctx context.Context, f *trace.Scene) error {
-	s := sim.New()
-	d := newDistributor(s, m, f)
-	nodes := make([]*nodeProc, m.cfg.Procs)
-	for i := range nodes {
-		nodes[i] = &nodeProc{sim: s, engine: m.engines[i], fifo: d.fifos[i]}
-	}
-	s.At(0, d.step)
-	for _, n := range nodes {
-		s.At(0, n.step)
-	}
-	if err := runSim(ctx, s); err != nil {
-		return err
-	}
-	if !d.done || d.next != len(f.Triangles) {
-		panic(fmt.Sprintf("core: simulation deadlock: distributed %d of %d triangles",
-			d.next, len(f.Triangles)))
-	}
-	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for _, fifo := range d.fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
-	}
-	return nil
-}
-
-// snapshot captures node i's cumulative counters.
-func (m *Machine) snapshot(i int) NodeResult {
-	e := m.engines[i]
+// nodeResult captures engine e's cumulative counters (FIFOPeak left zero).
+func nodeResult(e *engine.Engine) NodeResult {
 	st := e.Stats()
-	peak := 0
-	if i < len(m.lastFIFOPeaks) {
-		peak = m.lastFIFOPeaks[i]
-	}
 	return NodeResult{
 		Fragments:   st.Fragments,
 		Triangles:   st.Triangles,
@@ -526,8 +456,21 @@ func (m *Machine) snapshot(i int) NodeResult {
 		Bus:         e.BusStats(),
 		L2:          e.L2Stats(),
 		MainBus:     e.MainBusStats(),
-		FIFOPeak:    peak,
 	}
+}
+
+// engineResult assembles the result of engines that ran one scene from a
+// cold start without triangle FIFOs (the dynamic and sort-last machines).
+func engineResult(cfg Config, scene string, engines []*engine.Engine) *Result {
+	res := &Result{Config: cfg, Scene: scene}
+	for _, e := range engines {
+		nr := nodeResult(e)
+		res.Nodes = append(res.Nodes, nr)
+		res.Fragments += nr.Fragments
+		res.TrianglesRouted += nr.Triangles
+		res.Cycles = max(res.Cycles, nr.FinishTime)
+	}
+	return res
 }
 
 // Simulate is the one-call convenience: build a machine and run the scene.
@@ -568,123 +511,4 @@ func SpeedupContext(ctx context.Context, scene *trace.Scene, cfg Config) (speedu
 		return 0, single, parallel, nil
 	}
 	return single.Cycles / parallel.Cycles, single, parallel, nil
-}
-
-// distributor feeds triangles in strict submission order to the routed
-// nodes' FIFOs, blocking while any destination FIFO is full.
-type distributor struct {
-	sim   *sim.Simulator
-	m     *Machine
-	frame *trace.Scene
-	fifos []*sim.FIFO[engine.TriangleWork]
-
-	next    int   // next triangle index to distribute
-	pending []int // remaining destinations of triangle `next`
-	work    []engine.TriangleWork
-	done    bool
-
-	routeScratch []int
-	spanScratch  [][]raster.Span
-}
-
-func newDistributor(s *sim.Simulator, m *Machine, frame *trace.Scene) *distributor {
-	d := &distributor{
-		sim:          s,
-		m:            m,
-		frame:        frame,
-		routeScratch: make([]int, 0, m.cfg.Procs),
-		spanScratch:  make([][]raster.Span, m.cfg.Procs),
-		work:         make([]engine.TriangleWork, m.cfg.Procs),
-	}
-	for i := 0; i < m.cfg.Procs; i++ {
-		d.fifos = append(d.fifos, sim.NewFIFO[engine.TriangleWork](s, m.cfg.TriangleBuffer))
-	}
-	return d
-}
-
-// step distributes triangles until a FIFO back-pressures, then re-arms on
-// that FIFO's space event. Distribution is instantaneous in simulated time
-// (ideal geometry stage and network), so all pushes happen at the stall-free
-// front of the machine.
-func (d *distributor) step(now sim.Time) {
-	for {
-		if len(d.pending) == 0 {
-			if d.next == len(d.frame.Triangles) {
-				d.done = true
-				return
-			}
-			d.prepare(d.next)
-			d.next++
-			if len(d.pending) == 0 {
-				continue // off-screen triangle: routed nowhere
-			}
-		}
-		for len(d.pending) > 0 {
-			dst := d.pending[0]
-			if !d.fifos[dst].TryPush(d.work[dst]) {
-				d.fifos[dst].WaitSpace(d.step)
-				return
-			}
-			d.pending = d.pending[1:]
-		}
-	}
-}
-
-// prepare rasterizes triangle i once, demultiplexes its spans per owning
-// node, and sets up the pending destination list.
-func (d *distributor) prepare(i int) {
-	t := &d.frame.Triangles[i]
-	tex := d.m.mgr.Texture(t.TexID)
-	lod := t.Tex.LOD()
-
-	dests := d.m.dist.Route(t.BBox(), d.routeScratch[:0])
-	for _, p := range dests {
-		d.spanScratch[p] = d.spanScratch[p][:0]
-	}
-	d.m.rast.ForEachSpan(*t, d.frame.Screen, func(sp raster.Span) {
-		d.m.dist.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, func(proc, x0, x1 int) {
-			d.spanScratch[proc] = append(d.spanScratch[proc], raster.Span{Y: sp.Y, X0: x0, X1: x1})
-		})
-	})
-	// One backing array holds every destination's segments for this
-	// triangle, so a triangle costs one allocation however many nodes it
-	// fans out to.
-	total := 0
-	for _, p := range dests {
-		total += len(d.spanScratch[p])
-	}
-	var backing []raster.Span
-	if total > 0 {
-		backing = make([]raster.Span, 0, total)
-	}
-	d.pending = d.pending[:0]
-	for _, p := range dests {
-		segs := d.spanScratch[p]
-		var owned []raster.Span
-		if len(segs) > 0 {
-			start := len(backing)
-			backing = append(backing, segs...)
-			owned = backing[start:len(backing):len(backing)]
-		}
-		d.work[p] = engine.TriangleWork{Tex: tex, Map: t.Tex, LOD: lod, Segments: owned}
-		d.pending = append(d.pending, p)
-	}
-	d.routeScratch = dests[:0]
-}
-
-// nodeProc is one node's consumer loop on the sim kernel.
-type nodeProc struct {
-	sim    *sim.Simulator
-	engine *engine.Engine
-	fifo   *sim.FIFO[engine.TriangleWork]
-}
-
-func (n *nodeProc) step(now sim.Time) {
-	w, ok := n.fifo.TryPop()
-	if !ok {
-		n.fifo.WaitItem(n.step)
-		return
-	}
-	done := n.engine.ProcessTriangle(float64(now), &w)
-	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }

@@ -10,18 +10,19 @@ import (
 	"repro/internal/trace"
 )
 
-// runKernelPair simulates s under cfg on the event-driven kernel and on the
-// parallel kernel and fails the test unless the results are byte-identical
-// after JSON encoding (cycles, fragments, texels, cache statistics, FIFO
-// peaks — everything the simulator reports). It returns the parallel machine
-// so callers can inspect which kernel actually ran.
+// runKernelPair simulates s under cfg on the event-driven kernel (forced
+// through the test-only forceEvents field) and with the machine's own kernel
+// choice, and fails the test unless the results are byte-identical after
+// JSON encoding (cycles, fragments, texels, cache statistics, FIFO peaks —
+// everything the simulator reports). It returns the second machine so
+// callers can inspect which kernel actually ran.
 func runKernelPair(t *testing.T, s *trace.Scene, cfg Config) *Machine {
 	t.Helper()
 	serial, err := NewMachine(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.SetNodeParallelism(1)
+	serial.forceEvents = true
 	par, err := NewMachine(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -120,20 +121,21 @@ func TestParallelKernelSequence(t *testing.T) {
 	frames := scene.PanSequence(base, 4, 3, 1)
 	cfg := Config{Procs: 8, TileSize: 8}
 
-	run := func(nodePar int) ([]*Result, *Machine) {
+	run := func(events bool) ([]*Result, *Machine) {
 		m, err := NewMachine(frames[0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetNodeParallelism(nodePar)
+		m.forceEvents = events
+		m.SetNodeParallelism(4)
 		rs, err := m.RunSequence(frames)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs, m
 	}
-	want, _ := run(1)
-	got, m := run(4)
+	want, _ := run(true)
+	got, m := run(false)
 	if m.parallelFrames != len(frames) {
 		t.Errorf("parallel kernel ran %d of %d frames", m.parallelFrames, len(frames))
 	}
@@ -144,6 +146,36 @@ func TestParallelKernelSequence(t *testing.T) {
 			t.Errorf("frame %d: kernels disagree\nserial:   %s\nparallel: %s",
 				i, wantJS, gotJS)
 		}
+	}
+}
+
+// TestParallelKernelOneWorker: one node worker is only a worker bound, not
+// a kernel choice — at the default buffer every frame still runs decoupled,
+// with the event kernel's bytes.
+func TestParallelKernelOneWorker(t *testing.T) {
+	frames := scene.PanSequence(benchSceneFor(t, "room3", 0.1), 4, 3, 1)
+	cfg := Config{Procs: 8, TileSize: 8, Bus: memory.BusConfig{TexelsPerCycle: 1}}
+	run := func(setup func(*Machine)) ([]*Result, *Machine) {
+		m, err := NewMachine(frames[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup(m)
+		rs, err := m.RunSequence(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, m
+	}
+	want, _ := run(func(m *Machine) { m.forceEvents = true })
+	got, m := run(func(m *Machine) { m.SetNodeParallelism(1) })
+	if m.parallelFrames != len(frames) {
+		t.Errorf("one worker: parallel kernel ran %d of %d frames", m.parallelFrames, len(frames))
+	}
+	wantJS, _ := json.Marshal(want)
+	gotJS, _ := json.Marshal(got)
+	if string(wantJS) != string(gotJS) {
+		t.Errorf("one worker: kernels disagree\nevent:     %s\ndecoupled: %s", wantJS, gotJS)
 	}
 }
 
@@ -203,7 +235,8 @@ func TestParallelKernelEmptyFrame(t *testing.T) {
 }
 
 // TestSetNodeParallelismDefaults pins the knob semantics: <=0 restores the
-// GOMAXPROCS default and 1 forces the event kernel.
+// GOMAXPROCS default, and every setting — one worker included — is only a
+// worker bound, never a kernel choice.
 func TestSetNodeParallelismDefaults(t *testing.T) {
 	s := testScene(2, 10, 64)
 	m, err := NewMachine(s, Config{Procs: 2})
@@ -214,12 +247,11 @@ func TestSetNodeParallelismDefaults(t *testing.T) {
 	if got := m.nodeParallelism(); got < 1 {
 		t.Errorf("nodeParallelism() = %d after reset", got)
 	}
-	m.SetNodeParallelism(1)
-	if m.parallelEligible() {
-		t.Error("eligible with node parallelism forced to 1")
-	}
-	m.SetNodeParallelism(8)
-	if !m.parallelEligible() {
-		t.Error("not eligible with node parallelism 8")
+	for i, n := range []int{1, 8} {
+		m.SetNodeParallelism(n)
+		m.Run()
+		if m.parallelFrames != i+1 {
+			t.Errorf("node parallelism %d: frame not on the parallel kernel", n)
+		}
 	}
 }

@@ -224,3 +224,36 @@ func TestProcessTriangleAllocFree(t *testing.T) {
 		t.Errorf("ProcessTriangle allocates %.1f per call", n)
 	}
 }
+
+// TestRecordedReplayMatchesProcessTriangle: a recorded footprint stream
+// replays with ProcessTriangle's exact timing and counters, on the
+// repeat-hit fast path (magnified texture: long runs) and off it (the
+// cacheless model).
+func TestRecordedReplayMatchesProcessTriangle(t *testing.T) {
+	bus := memory.BusConfig{TexelsPerCycle: 1}
+	for _, mk := range []func() cache.Model{
+		func() cache.Model { return cache.New(cache.PaperConfig()) },
+		func() cache.Model { return cache.NewNone() },
+	} {
+		live, tex := newTestEngine(mk(), bus)
+		replay, _ := newTestEngine(mk(), bus)
+		w := identityWork(tex, raster.Span{Y: 0, X0: 3, X1: 90}, raster.Span{Y: 1, X0: 0, X1: 40})
+		w.Map = geom.TexMap{U0: 7, DuDx: 0.25, DvDy: 0.25}
+		var rec PrecomputedWork
+		rec.Segments = w.Segments
+		w.Record(&rec)
+		if len(rec.Reps) >= rec.Frags() {
+			t.Fatalf("%d runs for %d fragments: no run-length encoding", len(rec.Reps), rec.Frags())
+		}
+		for arrival := 0.0; arrival < 300; arrival += 150 {
+			if got, want := replay.ProcessPrecomputed(arrival, &rec), live.ProcessTriangle(arrival, w); got != want {
+				t.Errorf("arrival %v: replay finished at %v, ProcessTriangle at %v", arrival, got, want)
+			}
+		}
+		if replay.Stats() != live.Stats() || replay.CacheStats() != live.CacheStats() ||
+			replay.BusStats() != live.BusStats() {
+			t.Errorf("counters differ: replay %+v %+v, live %+v %+v",
+				replay.Stats(), replay.CacheStats(), live.Stats(), live.CacheStats())
+		}
+	}
+}

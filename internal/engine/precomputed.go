@@ -2,17 +2,16 @@
 // the trilinear footprint per fragment, more than half of a simulation's
 // runtime — depends only on the triangle's texture mapping and owned
 // segments, never on the cache or bus configuration. A raster artifact
-// (internal/core) therefore captures each fragment's 8-address footprint
-// once, run-length encoded over consecutive identical footprints, and
-// ProcessPrecomputed replays it into any cache/bus configuration with
+// (internal/core) therefore records each fragment's 8-address footprint
+// once (Record), run-length encoded over consecutive identical footprints,
+// and ProcessPrecomputed replays it into any cache/bus configuration with
 // byte-identical timing and counters.
 //
-// Equivalence contract: for the same arrival and the same triangle,
-// ProcessPrecomputed performs the same floating-point operations in the same
-// order as ProcessTriangle — per-fragment scan increments, miss/stall
-// arithmetic and prefetch-ring updates are replicated verbatim. A run's
-// repeated fragments re-access a footprint the previous fragment just
-// touched; when the cache model guarantees such repeats hit without
+// Equivalence contract: both paths time every fragment with scanFragment,
+// so for the same arrival and the same triangle ProcessPrecomputed performs
+// the same floating-point operations in the same order as ProcessTriangle.
+// A run's repeated fragments re-access a footprint the previous fragment
+// just touched; when the cache model guarantees such repeats hit without
 // disturbing replacement state (cache.Model.RepeatHits), the replay accounts
 // them in bulk and skips the lookups — the fast path that makes replay
 // several times cheaper than simulation. Models without the guarantee (the
@@ -20,6 +19,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/raster"
 	"repro/internal/texture"
 )
@@ -49,6 +50,30 @@ func (w *PrecomputedWork) Frags() int {
 	return n
 }
 
+// Record appends w's footprint stream to out: the addresses ProcessTriangle
+// generates for w, with the same per-span u/v arithmetic, run-length encoded
+// over consecutive identical footprints.
+func (w *TriangleWork) Record(out *PrecomputedWork) {
+	var foot, prev [8]texture.Addr
+	have := false
+	for _, sp := range w.Segments {
+		u, v := spanUV(w.Map, sp)
+		for x := sp.X0; x < sp.X1; x++ {
+			w.Tex.TrilinearFootprint(u, v, w.LOD, &foot)
+			if have && foot == prev && out.Reps[len(out.Reps)-1] < math.MaxInt32 {
+				out.Reps[len(out.Reps)-1]++
+			} else {
+				out.Addrs = append(out.Addrs, foot[:]...)
+				out.Reps = append(out.Reps, 1)
+				prev = foot
+				have = true
+			}
+			u += w.Map.DuDx
+			v += w.Map.DvDx
+		}
+	}
+}
+
 // ProcessPrecomputed runs one triangle whose footprints were precomputed
 // through the pipeline, beginning no earlier than arrival, and returns the
 // absolute completion time — ProcessTriangle with the address generation
@@ -57,85 +82,37 @@ func (w *PrecomputedWork) Frags() int {
 func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
-	s := start
 	if e.pureScan {
-		for _, sp := range w.Segments {
-			n := sp.Width()
-			s += float64(n)
-			e.stats.Fragments += uint64(n)
-		}
-		return e.finishTriangle(start, stall0, s)
+		return e.finishTriangle(start, stall0, e.scanPure(start, w.Segments))
 	}
+	s := start
 	repeatFast := e.cache.RepeatHits()
 	for r := range w.Reps {
 		foot := w.Addrs[r*8 : r*8+8 : r*8+8]
 		reps := int(w.Reps[r])
-		if repeatFast {
-			s = e.scanFragment(start, s, foot)
-			if reps > 1 {
-				// The remaining fragments of the run re-access the footprint
-				// the fragment before them just touched: guaranteed hits that
-				// leave the cache state untouched, no misses, no stalls. Only
-				// the scan clock, the prefetch ring and the counters move.
-				e.cache.AddHits(uint64(reps-1) * 8)
-				for j := 1; j < reps; j++ {
-					s++
-					e.ring[e.ringPos] = s
-					e.ringPos++
-					if e.ringPos == len(e.ring) {
-						e.ringPos = 0
-					}
-				}
-				e.stats.Fragments += uint64(reps - 1)
-			}
-		} else {
+		if !repeatFast {
 			for j := 0; j < reps; j++ {
 				s = e.scanFragment(start, s, foot)
 			}
+			continue
+		}
+		s = e.scanFragment(start, s, foot)
+		if reps > 1 {
+			// The remaining fragments of the run re-access the footprint
+			// the fragment before them just touched: guaranteed hits that
+			// leave the cache state untouched, no misses, no stalls. Only
+			// the scan clock, the prefetch ring and the counters move.
+			e.cache.AddHits(uint64(reps-1) * 8)
+			for j := 1; j < reps; j++ {
+				s++
+				e.ring[e.ringPos] = s
+				e.ringPos++
+				if e.ringPos == len(e.ring) {
+					e.ringPos = 0
+				}
+			}
+			e.stats.Fragments += uint64(reps - 1)
 		}
 	}
 	return e.finishTriangle(start, stall0, s)
 }
-
-// scanFragment times one fragment with a known footprint: the per-fragment
-// access/miss/stall/ring body of ProcessTriangle, verbatim.
-func (e *Engine) scanFragment(start, s float64, foot []texture.Addr) float64 {
-	s++ // one scan cycle per fragment
-	misses, mainMisses := 0, 0
-	for _, a := range foot {
-		if !e.cache.Access(a) {
-			misses++
-			if e.l2 != nil && !e.l2.Access(a) {
-				mainMisses++
-			}
-		}
-	}
-	if misses > 0 {
-		issue := e.ring[e.ringPos]
-		if issue < start {
-			issue = start
-		}
-		ready := e.bus.Fetch(issue, misses)
-		if mainMisses > 0 {
-			if mainReady := e.mainBus.Fetch(issue, mainMisses); mainReady > ready {
-				ready = mainReady
-			}
-		}
-		if ready > s {
-			e.stats.StallCycles += ready - s
-			s = ready
-		}
-	}
-	e.ring[e.ringPos] = s
-	e.ringPos++
-	if e.ringPos == len(e.ring) {
-		e.ringPos = 0
-	}
-	e.stats.Fragments++
-	return s
-}
-
-// PureScan reports whether this engine is in the pure-scan regime (perfect
-// cache on an infinite bus), where texel addresses are never consulted and a
-// spans-only artifact suffices for replay.
-func (e *Engine) PureScan() bool { return e.pureScan }

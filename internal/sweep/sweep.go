@@ -374,13 +374,13 @@ type RunOpts struct {
 	// Parallelism bounds how many configurations simulate concurrently
 	// (<=0 = sequential). It is also the sweep's total worker budget.
 	Parallelism int
-	// NodeParallelism bounds each simulation's parallel node kernel (see
-	// core.Machine.SetNodeParallelism): 1 forces the event-driven kernel,
-	// 0 shares the worker budget — when fewer configurations than budget
-	// run concurrently, the spare workers go to each machine's node kernel
-	// (budget / concurrent configurations, at least 1). A sweep of many
-	// configurations therefore parallelizes across configurations; a sweep
-	// of one big configuration parallelizes across its nodes.
+	// NodeParallelism bounds each simulation's node workers (see
+	// core.Machine.SetNodeParallelism): 1 = one worker, 0 shares the worker
+	// budget — when fewer configurations than budget run concurrently, the
+	// spare workers go to each machine's nodes (budget / concurrent
+	// configurations, at least 1). A sweep of many configurations therefore
+	// parallelizes across configurations; a sweep of one big configuration
+	// parallelizes across its nodes. It never selects a kernel.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are

@@ -153,7 +153,7 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 }
 
 func TestRunWithNodeParallelismMatchesRun(t *testing.T) {
-	// The node-parallel kernel must not change a single row: RunWith at any
+	// The node worker bound must not change a single row: RunWith at any
 	// NodeParallelism is byte-identical to the sequential Run.
 	want, err := Run(context.Background(), tinySpec, 0)
 	if err != nil {
