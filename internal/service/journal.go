@@ -55,13 +55,17 @@ func (s *Server) journalAdd(j *job) {
 	}
 }
 
-// journalRemove drops a terminal job's entry; removing a job that was never
-// journaled (or already removed) is a no-op.
-func (s *Server) journalRemove(id string) {
+// journalRemove drops a finishing job's entry, first waiting until submit
+// has written it; removing a job that was never journaled (or already
+// removed) is a no-op.
+func (s *Server) journalRemove(j *job) {
 	if s.journalDir == "" {
 		return
 	}
-	os.Remove(filepath.Join(s.journalDir, id+".json"))
+	if j.journaled != nil {
+		<-j.journaled
+	}
+	os.Remove(filepath.Join(s.journalDir, j.id+".json"))
 }
 
 // recoverJournal resubmits every journaled job from a previous process, in

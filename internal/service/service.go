@@ -46,9 +46,9 @@ type Config struct {
 	// Parallelism bounds concurrent simulations inside one job (0 = 1:
 	// cross-job parallelism comes from the worker pool).
 	Parallelism int
-	// NodeParallelism bounds each simulation's parallel node kernel
-	// (0 = share the job's Parallelism budget, 1 = force the event-driven
-	// kernel; see sweep.RunOpts). Results are identical at every setting.
+	// NodeParallelism bounds each simulation's node workers (0 = share the
+	// job's Parallelism budget, 1 = one worker; see sweep.RunOpts). It never
+	// selects a kernel, and results are identical at every setting.
 	NodeParallelism int
 	// NoMemo disables the sweep planner's raster-artifact memoization for
 	// every sweep job (see sweep.RunOpts.NoMemo). Results are identical
@@ -225,6 +225,10 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc // non-nil from submission until finish
+	// journaled is closed once submit has written the job's journal entry
+	// (nil for jobs never journaled); a worker that finishes the job waits
+	// on it, so the entry is removed only after it exists.
+	journaled chan struct{}
 
 	// requestID correlates the job's log lines and spans with the HTTP
 	// request that submitted it (the submit span's ID, or the job ID for
@@ -527,6 +531,7 @@ func (s *Server) submit(ctx context.Context, req *Request, routed, exempt bool) 
 
 	s.mSubmitted.With(req.Type).Inc()
 	s.journalAdd(j)
+	close(j.journaled)
 	s.logger.LogAttrs(j.ctx, slog.LevelInfo, "job queued",
 		slog.String("type", req.Type), slog.String("tenant", tenant),
 		slog.String("class", j.class.String()), slog.String("cache_key", key[:12]))
@@ -575,6 +580,7 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 	}
 	j.ctx = logging.WithAttrs(jctx, attrs...)
 	if enqueue {
+		j.journaled = make(chan struct{})
 		// The push happens under s.mu so it cannot race with Drain flipping
 		// the draining flag; it is non-blocking, so the lock is never held
 		// for long. (A push after close is answered with closed=true rather
@@ -645,7 +651,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	if j.status != StatusQueued { // canceled while queued
 		s.mu.Unlock()
-		s.journalRemove(j.id)
+		s.journalRemove(j)
 		return
 	}
 	j.status = StatusRunning
@@ -717,6 +723,9 @@ func (s *Server) runJob(j *job) {
 	wall := now.Sub(j.started).Seconds()
 	s.mDuration.With(j.req.scene()).Observe(wall)
 
+	// Drop the journal entry before the terminal status is published, so
+	// anyone who sees the job finished also sees its entry gone.
+	s.journalRemove(j)
 	s.mu.Lock()
 	j.finished = now
 	j.fromCache = fromCache
@@ -737,7 +746,6 @@ func (s *Server) runJob(j *job) {
 	j.cancel()
 	s.mu.Unlock()
 
-	s.journalRemove(j.id)
 	s.progress.End(j.id, string(final), errMsg)
 	s.mCompleted.With(string(final)).Inc()
 	if err == nil && !fromCache && j.req.Type == "sweep" {
@@ -829,7 +837,7 @@ func (s *Server) Cancel(id string) (Status, bool) {
 	s.mu.Unlock()
 
 	if st == StatusQueued {
-		s.journalRemove(id)
+		s.journalRemove(j)
 		s.mCompleted.With(string(StatusCanceled)).Inc()
 		s.progress.End(id, string(StatusCanceled), "canceled before start")
 		return StatusCanceled, true
