@@ -259,7 +259,7 @@ type Machine struct {
 	mgr     *texture.Manager
 	engines []*engine.Engine
 	// lastFIFOPeaks holds the per-node triangle-FIFO peak occupancy of the
-	// most recent frame.
+	// most recent frame; both kernels set every node's.
 	lastFIFOPeaks []int
 	// flight, when non-nil, records every node's per-phase cycle timeline.
 	flight *flight.Recorder
@@ -391,9 +391,7 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		frameEnd := frameStart
 		for i, e := range m.engines {
 			cum := nodeResult(e)
-			if i < len(m.lastFIFOPeaks) {
-				cum.FIFOPeak = m.lastFIFOPeaks[i]
-			}
+			cum.FIFOPeak = m.lastFIFOPeaks[i]
 			nr := cum.sub(prev[i])
 			prev[i] = cum
 			res.Nodes = append(res.Nodes, nr)

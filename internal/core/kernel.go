@@ -84,10 +84,10 @@ func (r *frameReplay) process(e *engine.Engine, arrival float64, ref destRef) fl
 	return e.ProcessTriangle(arrival, &w)
 }
 
-// runFrameArtifact simulates frame fi, replaying the attached artifact's frame or,
-// with none attached, a spans-only artifact built for f. A cancelled context
-// abandons the frame mid-flight and leaves the machine in an undefined (but
-// safely reusable-after-Reset) state.
+// runFrameArtifact simulates frame fi, replaying the attached artifact's
+// frame or, with none attached, a spans-only artifact built for f. A
+// cancelled context abandons the frame mid-flight and leaves the machine in
+// an undefined (but safely reusable-after-Reset) state.
 func (m *Machine) runFrameArtifact(ctx context.Context, fi int, f *trace.Scene) error {
 	r := &frameReplay{src: f, mgr: m.mgr}
 	if m.artifact != nil {
