@@ -116,66 +116,41 @@ func TestParallelKernelL2(t *testing.T) {
 
 // TestParallelKernelSequence checks frame sequences: per-frame snapshots and
 // the inter-frame cache state they depend on must match the event kernel.
+// One node worker is only a worker bound, not a kernel choice: at the
+// default buffer every frame still runs decoupled.
 func TestParallelKernelSequence(t *testing.T) {
 	base := benchSceneFor(t, "room3", 0.1)
 	frames := scene.PanSequence(base, 4, 3, 1)
 	cfg := Config{Procs: 8, TileSize: 8}
 
-	run := func(events bool) ([]*Result, *Machine) {
+	run := func(events bool, nodePar int) ([]*Result, *Machine) {
 		m, err := NewMachine(frames[0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.forceEvents = events
-		m.SetNodeParallelism(4)
+		m.SetNodeParallelism(nodePar)
 		rs, err := m.RunSequence(frames)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs, m
 	}
-	want, _ := run(true)
-	got, m := run(false)
-	if m.parallelFrames != len(frames) {
-		t.Errorf("parallel kernel ran %d of %d frames", m.parallelFrames, len(frames))
-	}
-	for i := range want {
-		wantJS, _ := json.Marshal(want[i])
-		gotJS, _ := json.Marshal(got[i])
-		if string(wantJS) != string(gotJS) {
-			t.Errorf("frame %d: kernels disagree\nserial:   %s\nparallel: %s",
-				i, wantJS, gotJS)
+	want, _ := run(true, 4)
+	for _, nodePar := range []int{1, 4} {
+		got, m := run(false, nodePar)
+		if m.parallelFrames != len(frames) {
+			t.Errorf("node parallelism %d: parallel kernel ran %d of %d frames",
+				nodePar, m.parallelFrames, len(frames))
 		}
-	}
-}
-
-// TestParallelKernelOneWorker: one node worker is only a worker bound, not
-// a kernel choice — at the default buffer every frame still runs decoupled,
-// with the event kernel's bytes.
-func TestParallelKernelOneWorker(t *testing.T) {
-	frames := scene.PanSequence(benchSceneFor(t, "room3", 0.1), 4, 3, 1)
-	cfg := Config{Procs: 8, TileSize: 8, Bus: memory.BusConfig{TexelsPerCycle: 1}}
-	run := func(setup func(*Machine)) ([]*Result, *Machine) {
-		m, err := NewMachine(frames[0], cfg)
-		if err != nil {
-			t.Fatal(err)
+		for i := range want {
+			wantJS, _ := json.Marshal(want[i])
+			gotJS, _ := json.Marshal(got[i])
+			if string(wantJS) != string(gotJS) {
+				t.Errorf("node parallelism %d, frame %d: kernels disagree\nserial:   %s\nparallel: %s",
+					nodePar, i, wantJS, gotJS)
+			}
 		}
-		setup(m)
-		rs, err := m.RunSequence(frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rs, m
-	}
-	want, _ := run(func(m *Machine) { m.forceEvents = true })
-	got, m := run(func(m *Machine) { m.SetNodeParallelism(1) })
-	if m.parallelFrames != len(frames) {
-		t.Errorf("one worker: parallel kernel ran %d of %d frames", m.parallelFrames, len(frames))
-	}
-	wantJS, _ := json.Marshal(want)
-	gotJS, _ := json.Marshal(got)
-	if string(wantJS) != string(gotJS) {
-		t.Errorf("one worker: kernels disagree\nevent:     %s\ndecoupled: %s", wantJS, gotJS)
 	}
 }
 
