@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/texture"
 )
@@ -29,20 +30,23 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Model is the cache contract the engine drives: one call per texel access,
-// returning whether the texel was already resident. A miss implies the
-// containing line is fetched (and inserted, for a real cache).
+// Model is the cache contract the engine drives: one call per fragment,
+// looking up its 8-texel trilinear footprint and reporting which texels were
+// not already resident. A miss implies the containing line is fetched (and
+// inserted, for a real cache).
 type Model interface {
-	// Access looks up the texel at byte address addr, updating replacement
-	// state, and reports a hit.
-	Access(addr texture.Addr) bool
+	// AccessFootprint looks up the 8 texel addresses of foot in order,
+	// updating replacement state exactly as 8 sequential single-address
+	// lookups would, and returns a mask whose bit i is set when foot[i]
+	// missed.
+	AccessFootprint(foot *[8]texture.Addr) (missed uint8)
 	// RepeatHits reports whether re-accessing a trilinear footprint (at most
 	// 8 addresses, at most 2 distinct lines per set and mip level) that the
 	// immediately preceding accesses fully touched is guaranteed to hit on
 	// every address AND to leave the replacement state exactly as a real
 	// re-access would. When true, a caller replaying a run of fragments with
 	// identical footprints may account the repeats via AddHits instead of
-	// calling Access — the engine's precomputed-replay fast path.
+	// calling AccessFootprint — the engine's precomputed-replay fast path.
 	RepeatHits() bool
 	// AddHits accounts n accesses that are known to hit without looking
 	// them up. Only meaningful when RepeatHits reports true.
@@ -94,13 +98,15 @@ func (c Config) Sets() int { return c.SizeBytes / c.LineBytes / c.Ways }
 // simulation performs.
 type SetAssoc struct {
 	cfg      Config
-	ways     int
 	setMask  uint32
 	lineBits uint
-	// tags[set*ways : (set+1)*ways], MRU first. The sentinel invalidTag marks
+	// tags[set*Ways : (set+1)*Ways], MRU first. The sentinel invalidTag marks
 	// an empty way.
 	tags  []uint32
 	stats Stats
+	// Pads the struct so that no cache line holds the counters of two nodes'
+	// caches, which node workers on different cores update on every probe.
+	_ [64]byte
 }
 
 const invalidTag = ^uint32(0)
@@ -117,7 +123,6 @@ func New(cfg Config) *SetAssoc {
 	}
 	c := &SetAssoc{
 		cfg:      cfg,
-		ways:     cfg.Ways,
 		setMask:  uint32(cfg.Sets() - 1),
 		lineBits: lineBits,
 		tags:     make([]uint32, cfg.Sets()*cfg.Ways),
@@ -129,29 +134,76 @@ func New(cfg Config) *SetAssoc {
 // Config returns the cache geometry.
 func (c *SetAssoc) Config() Config { return c.cfg }
 
-// Access implements Model.
+// Access looks up the texel at byte address addr, updating replacement
+// state, and reports a hit: the single-address probe the engine's L2 level
+// makes for each L1 miss.
 func (c *SetAssoc) Access(addr texture.Addr) bool {
 	c.stats.Accesses++
-	line := uint32(addr) >> c.lineBits
-	set := line & c.setMask
-	base := int(set) * c.ways
-	ways := c.tags[base : base+c.ways]
+	if c.touch(uint32(addr) >> c.lineBits) {
+		c.stats.Misses++
+		return false
+	}
+	return true
+}
+
+// AccessFootprint implements Model. An address in the same line as its
+// predecessor is a hit that changes nothing (the predecessor just made that
+// line MRU), so it skips the set lookup; a bilinear 2×2 falls inside one
+// 4×4-texel line 9 times in 16. Four-way sets, the paper's geometry, are
+// updated in place by fixed shifts instead of touch's copies.
+func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missed uint8) {
+	c.stats.Accesses += 8
+	tags, setMask, lineBits, fourWay := c.tags, c.setMask, c.lineBits, c.cfg.Ways == 4
+	prev := ^(uint32(foot[0]) >> lineBits) // never the first line
+	for i, a := range foot {
+		line := uint32(a) >> lineBits
+		if line == prev {
+			continue
+		}
+		prev = line
+		if !fourWay {
+			if c.touch(line) {
+				missed |= 1 << i
+			}
+			continue
+		}
+		base := int(line&setMask) * 4
+		w := (*[4]uint32)(tags[base : base+4])
+		switch line {
+		case w[0]:
+		case w[1]:
+			w[0], w[1] = line, w[0]
+		case w[2]:
+			w[0], w[1], w[2] = line, w[0], w[1]
+		default: // a hit in the last way shifts like a miss
+			if line != w[3] {
+				missed |= 1 << i
+			}
+			w[0], w[1], w[2], w[3] = line, w[0], w[1], w[2]
+		}
+	}
+	c.stats.Misses += uint64(bits.OnesCount8(missed))
+	return missed
+}
+
+// touch makes line the MRU entry of its set and reports whether it missed
+// (evicting the LRU entry).
+func (c *SetAssoc) touch(line uint32) bool {
+	n := c.cfg.Ways
+	ways := c.tags[int(line&c.setMask)*n:][:n]
 	if ways[0] == line { // fast path: repeated texel
-		return true
+		return false
 	}
 	for i := 1; i < len(ways); i++ {
 		if ways[i] == line {
-			// Hit: rotate to MRU position.
-			copy(ways[1:i+1], ways[:i])
+			copy(ways[1:i+1], ways[:i]) // hit: rotate to MRU
 			ways[0] = line
-			return true
+			return false
 		}
 	}
-	// Miss: evict LRU (last), insert at MRU.
-	c.stats.Misses++
-	copy(ways[1:], ways[:len(ways)-1])
+	copy(ways[1:], ways) // miss: evict LRU (last), insert at MRU
 	ways[0] = line
-	return false
+	return true
 }
 
 // Stats implements Model.
@@ -165,7 +217,7 @@ func (c *SetAssoc) Stats() Stats { return c.stats }
 // re-access hits everywhere and the MRU rotation reproduces the same final
 // order. A single-set cache can see all 8 lines collide, so it needs 8 ways.
 func (c *SetAssoc) RepeatHits() bool {
-	return c.ways >= 8 || (c.ways >= 4 && c.setMask >= 1)
+	return c.cfg.Ways >= 8 || (c.cfg.Ways >= 4 && c.setMask >= 1)
 }
 
 // AddHits implements Model.
@@ -189,10 +241,10 @@ type Perfect struct {
 // NewPerfect returns a perfect cache.
 func NewPerfect() *Perfect { return &Perfect{} }
 
-// Access implements Model: always a hit.
-func (c *Perfect) Access(texture.Addr) bool {
-	c.stats.Accesses++
-	return true
+// AccessFootprint implements Model: always hits.
+func (c *Perfect) AccessFootprint(*[8]texture.Addr) uint8 {
+	c.stats.Accesses += 8
+	return 0
 }
 
 // Stats implements Model.
@@ -216,11 +268,11 @@ type None struct {
 // NewNone returns a cacheless model.
 func NewNone() *None { return &None{} }
 
-// Access implements Model: always a miss.
-func (c *None) Access(texture.Addr) bool {
-	c.stats.Accesses++
-	c.stats.Misses++
-	return false
+// AccessFootprint implements Model: always misses.
+func (c *None) AccessFootprint(*[8]texture.Addr) uint8 {
+	c.stats.Accesses += 8
+	c.stats.Misses += 8
+	return 0xFF
 }
 
 // Stats implements Model.

@@ -186,17 +186,18 @@ func TestPerfectAndNone(t *testing.T) {
 	p := NewPerfect()
 	n := NewNone()
 	for i := 0; i < 10; i++ {
-		if !p.Access(texture.Addr(i * 64)) {
+		foot := [8]texture.Addr{texture.Addr(i * 64)}
+		if p.AccessFootprint(&foot) != 0 {
 			t.Fatal("perfect cache missed")
 		}
-		if n.Access(texture.Addr(i * 64)) {
+		if n.AccessFootprint(&foot) != 0xFF {
 			t.Fatal("cacheless model hit")
 		}
 	}
-	if s := p.Stats(); s.Accesses != 10 || s.Misses != 0 {
+	if s := p.Stats(); s.Accesses != 80 || s.Misses != 0 {
 		t.Errorf("perfect stats = %+v", s)
 	}
-	if s := n.Stats(); s.Accesses != 10 || s.Misses != 10 {
+	if s := n.Stats(); s.Accesses != 80 || s.Misses != 80 {
 		t.Errorf("none stats = %+v", s)
 	}
 	p.Reset()

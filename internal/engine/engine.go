@@ -25,6 +25,8 @@
 package engine
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
@@ -86,13 +88,15 @@ type Engine struct {
 	// graphics-card memory acting as an L2 texture cache in front of main
 	// memory. An L1 miss that hits in L2 costs only the L1 bus; an L2 miss
 	// additionally occupies the main-memory bus.
-	l2      cache.Model
+	l2      *cache.SetAssoc
 	mainBus *memory.Bus
 
 	time     float64 // local pipeline clock: when the node goes idle
 	stats    Stats
 	foot     [8]texture.Addr
 	pureScan bool // perfect cache + infinite bus: skip texel generation
+	// repeatHits caches cache.RepeatHits, a fixed property of the model.
+	repeatHits bool
 	// ring holds the retire times of the last len(ring) fragments: the
 	// prefetch fragment FIFO. A fragment's line fetches are issued when the
 	// fragment PrefetchDepth slots earlier retires (when it enters the FIFO).
@@ -123,6 +127,7 @@ func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *mem
 		cache:       c,
 		bus:         bus,
 		ring:        make([]float64, prefetchDepth),
+		repeatHits:  c.RepeatHits(),
 	}
 	// A perfect cache on an infinite bus never stalls and fetches nothing:
 	// scanning is then pure pixel counting, so skip texel address generation
@@ -139,7 +144,7 @@ func (e *Engine) SetRecorder(r PhaseRecorder) { e.rec = r }
 
 // AttachL2 adds a second-level texture cache backed by a main-memory bus.
 // Must be called before the first triangle is processed.
-func (e *Engine) AttachL2(l2 cache.Model, mainBus *memory.Bus) {
+func (e *Engine) AttachL2(l2 *cache.SetAssoc, mainBus *memory.Bus) {
 	e.l2 = l2
 	e.mainBus = mainBus
 }
@@ -235,7 +240,7 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 		u, v := spanUV(w.Map, sp)
 		for x := sp.X0; x < sp.X1; x++ {
 			w.Tex.TrilinearFootprint(u, v, w.LOD, &e.foot)
-			s = e.scanFragment(start, s, e.foot[:])
+			s = e.scanFragment(start, s, &e.foot)
 			u += w.Map.DuDx
 			v += w.Map.DvDx
 		}
@@ -266,18 +271,19 @@ func (e *Engine) scanPure(s float64, segs []raster.Span) float64 {
 // scanFragment times one fragment with a known footprint, scanned from
 // cycle s of a triangle that arrived at start, and returns the cycle it
 // retires. It is the engine's only per-fragment routine.
-func (e *Engine) scanFragment(start, s float64, foot []texture.Addr) float64 {
+func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 	s++ // one scan cycle per fragment
-	misses, mainMisses := 0, 0
-	for _, a := range foot {
-		if !e.cache.Access(a) {
-			misses++
-			if e.l2 != nil && !e.l2.Access(a) {
-				mainMisses++
+	missed := e.cache.AccessFootprint(foot)
+	if missed != 0 {
+		misses, mainMisses := bits.OnesCount8(missed), 0
+		if e.l2 != nil {
+			// Only L1 misses reach the L2, in footprint order.
+			for m := missed; m != 0; m &= m - 1 {
+				if !e.l2.Access(foot[bits.TrailingZeros8(m)]) {
+					mainMisses++
+				}
 			}
 		}
-	}
-	if misses > 0 {
 		// Fetches were issued when this fragment entered the prefetch
 		// FIFO, i.e. when the fragment PrefetchDepth slots earlier retired
 		// — but never before the triangle itself arrived, since its

@@ -225,6 +225,21 @@ func TestProcessTriangleAllocFree(t *testing.T) {
 	}
 }
 
+func TestProcessPrecomputedAllocFree(t *testing.T) {
+	// Replay probes the cache once per run and never allocates either.
+	e, tex := newTestEngine(cache.New(cache.PaperConfig()), memory.BusConfig{TexelsPerCycle: 2})
+	w := identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 64}, raster.Span{Y: 1, X0: 0, X1: 64})
+	w.Map = geom.TexMap{DuDx: 0.5, DvDy: 0.5} // magnified: runs of 2
+	rec := PrecomputedWork{Segments: w.Segments}
+	w.Record(&rec)
+	arrival := 0.0
+	if n := testing.AllocsPerRun(100, func() {
+		arrival = e.ProcessPrecomputed(arrival, &rec)
+	}); n != 0 {
+		t.Errorf("ProcessPrecomputed allocates %.1f per call", n)
+	}
+}
+
 // TestRecordedReplayMatchesProcessTriangle: a recorded footprint stream
 // replays with ProcessTriangle's exact timing and counters, on the
 // repeat-hit fast path (magnified texture: long runs) and off it (the

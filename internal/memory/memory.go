@@ -69,6 +69,9 @@ type Bus struct {
 	lineCycles float64
 	freeAt     float64
 	stats      BusStats
+	// Pads the struct so that no cache line holds the state of two nodes'
+	// buses, which node workers on different cores update on every fetch.
+	_ [64]byte
 }
 
 // NewBus returns an idle bus. It panics on an invalid configuration; callers

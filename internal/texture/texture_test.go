@@ -1,6 +1,7 @@
 package texture
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +187,57 @@ func TestTrilinearFootprintClampsAtChainEnd(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if out[i] < lo0 || out[i] >= hi0 {
 			t.Errorf("magnified addr[%d]=%d outside base level", i, out[i])
+		}
+	}
+}
+
+// TestTrilinearMatchesAddressOf: the shared-term footprint generation yields
+// exactly the addresses of 4 AddressOf calls per level, on every level of
+// square, non-square and 1×1 textures, for coordinates that wrap many times
+// or leave int32 range, and for LODs below 0 and past the mip chain.
+func TestTrilinearMatchesAddressOf(t *testing.T) {
+	m := NewManager()
+	texs := []*Texture{m.MustAdd(64, 64), m.MustAdd(128, 8), m.MustAdd(2, 32), m.MustAdd(1, 1)}
+	coords := []float64{0, 0.5, 3.75, -0.25, -1, -7.5, 1000.3, -1e5 - 0.5, 3e9, -3e9, 1e12, -1e15}
+	// bilinearRef is the per-texel definition: clamp the level, then the
+	// 2×2 neighborhood around (u/2^l - 0.5, v/2^l - 0.5) through AddressOf.
+	bilinearRef := func(tex *Texture, l int, u, v float64) [4]Addr {
+		l = tex.clampLevel(l)
+		inv := 1.0 / float64(uint32(1)<<uint(l))
+		u0 := int32(math.Floor(u*inv - 0.5))
+		v0 := int32(math.Floor(v*inv - 0.5))
+		return [4]Addr{tex.AddressOf(l, u0, v0), tex.AddressOf(l, u0+1, v0),
+			tex.AddressOf(l, u0, v0+1), tex.AddressOf(l, u0+1, v0+1)}
+	}
+	for _, tex := range texs {
+		n := tex.NumLevels()
+		lods := []float64{-3, -0.5, float64(n) - 0.5, float64(n), float64(n) + 7}
+		for l := 0; l < n; l++ {
+			lods = append(lods, float64(l), float64(l)+0.7)
+		}
+		for _, lod := range lods {
+			l0 := int(lod)
+			if lod < 0 {
+				l0 = 0
+			}
+			l0 = tex.clampLevel(l0)
+			for _, u := range coords {
+				for _, v := range coords {
+					var got [8]Addr
+					tex.TrilinearFootprint(u, v, lod, &got)
+					lo, hi := bilinearRef(tex, l0, u, v), bilinearRef(tex, l0+1, u, v)
+					if want := [8]Addr{lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]}; got != want {
+						t.Fatalf("%dx%d lod %v (u,v)=(%v,%v): footprint %v, AddressOf %v",
+							tex.Width(), tex.Height(), lod, u, v, got, want)
+					}
+					var bi [4]Addr
+					tex.BilinearFootprint(int(lod), u, v, bi[:])
+					if want := bilinearRef(tex, int(lod), u, v); bi != want {
+						t.Fatalf("%dx%d level %d (u,v)=(%v,%v): bilinear %v, AddressOf %v",
+							tex.Width(), tex.Height(), int(lod), u, v, bi, want)
+					}
+				}
+			}
 		}
 	}
 }
