@@ -252,11 +252,13 @@ func imbalance(nodes []NodeResult, metric func(*NodeResult) float64) float64 {
 
 // Machine is a configured parallel engine ready to render scenes.
 type Machine struct {
-	cfg     Config
-	scene   *trace.Scene
-	dist    distrib.Distribution
-	rast    *raster.Rasterizer
-	mgr     *texture.Manager
+	cfg   Config
+	scene *trace.Scene
+	dist  distrib.Distribution
+	rast  *raster.Rasterizer
+	mgr   *texture.Manager
+	// engines are the node pipelines, built on a run's first use (nil
+	// until then, and again after SetMissRecord swaps the L1 models).
 	engines []*engine.Engine
 	// lastFIFOPeaks holds the per-node triangle-FIFO peak occupancy of the
 	// most recent frame; both kernels set every node's.
@@ -269,6 +271,9 @@ type Machine struct {
 	// artifact, when non-nil, replaces rasterization with replay of a
 	// prebuilt raster artifact (see SetRasterArtifact).
 	artifact *RasterArtifact
+	// misses, when non-nil, replaces every node's L1 probing with replay of
+	// recorded miss masks (see SetMissRecord).
+	misses *MissRecord
 	// parallelFrames counts frames simulated by the decoupled kernel, so
 	// tests can assert which kernel actually ran.
 	parallelFrames int
@@ -297,12 +302,11 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:     cfg,
-		scene:   scene,
-		dist:    d,
-		rast:    raster.New(scene.Screen),
-		mgr:     mgr,
-		engines: newEngines(cfg),
+		cfg:   cfg,
+		scene: scene,
+		dist:  d,
+		rast:  raster.New(scene.Screen),
+		mgr:   mgr,
 	}
 	return m, nil
 }
@@ -314,9 +318,6 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 // run, so it always holds the most recent run's timeline.
 func (m *Machine) EnableFlightRecorder(interval float64) *flight.Recorder {
 	m.flight = flight.New(m.cfg.Procs, interval)
-	for i, e := range m.engines {
-		e.SetRecorder(m.flight.Node(i))
-	}
 	return m.flight
 }
 
@@ -374,8 +375,17 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 			return nil, err
 		}
 	}
-	for _, e := range m.engines {
+	if m.misses != nil && m.misses.artifact != m.artifact {
+		return nil, fmt.Errorf("core: attached miss record was made from a different raster artifact")
+	}
+	if m.engines == nil {
+		m.engines = newEngines(m.cfg, m.misses)
+	}
+	for i, e := range m.engines {
 		e.Reset()
+		if m.flight != nil {
+			e.SetRecorder(m.flight.Node(i))
+		}
 	}
 	if m.flight != nil {
 		m.flight.Reset()
@@ -418,16 +428,19 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 }
 
 // newEngines builds cfg's node engines (cfg already defaulted): each with
-// its own cache model and texture bus, plus the optional L2 level.
-func newEngines(cfg Config) []*engine.Engine {
+// its own cache model and texture bus, plus the optional L2 level. With a
+// miss record, each real-cache L1 replays its node's recorded masks.
+func newEngines(cfg Config, misses *MissRecord) []*engine.Engine {
 	engines := make([]*engine.Engine, cfg.Procs)
 	for i := range engines {
 		var c cache.Model
-		switch cfg.CacheKind {
-		case CachePerfect:
+		switch {
+		case cfg.CacheKind == CachePerfect:
 			c = cache.NewPerfect()
-		case CacheNone:
+		case cfg.CacheKind == CacheNone:
 			c = cache.NewNone()
+		case misses != nil:
+			c = cache.NewReplay(misses.nodes[i], misses.repeatHits)
 		default:
 			c = cache.New(cfg.CacheConfig)
 		}

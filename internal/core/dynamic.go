@@ -145,7 +145,7 @@ func SimulateDynamic(scene *trace.Scene, cfg Config, order DynamicOrder) (*Resul
 	}
 
 	// Greedy dispatch: each tile goes to the processor that frees first.
-	engines := newEngines(cfg)
+	engines := newEngines(cfg, nil)
 	for _, tb := range queue {
 		best := 0
 		for i := 1; i < len(engines); i++ {

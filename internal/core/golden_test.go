@@ -39,16 +39,21 @@ func digestJSON(t *testing.T, v any) string {
 }
 
 // goldenCorpus runs the fixed result matrix and returns each case's digest.
-// Every case is a cold run on a fresh machine.
-func goldenCorpus(t *testing.T) map[string]string {
+// Every case is a cold run on a fresh machine. Each real-cache case is run a
+// second time through a miss record (runRecorded), and that run's digest is
+// returned under the case's name in recorded.
+func goldenCorpus(t *testing.T) (out, recorded map[string]string) {
 	t.Helper()
-	out := make(map[string]string)
+	out, recorded = make(map[string]string), make(map[string]string)
 	simulate := func(name string, s *trace.Scene, cfg Config) {
 		res, err := Simulate(s, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out[name] = digestJSON(t, res)
+		if cfg.CacheKind == CacheReal {
+			recorded[name] = digestJSON(t, runRecorded(t, []*trace.Scene{s}, cfg)[0])
+		}
 	}
 
 	// Table 1 scenes × distribution families × cache kinds, each at the
@@ -138,6 +143,7 @@ func goldenCorpus(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["room3/pan4"] = digestJSON(t, seq)
+	recorded["room3/pan4"] = digestJSON(t, runRecorded(t, frames, m.cfg))
 
 	// The §9 alternatives: dynamic tile scheduling and sort-last.
 	dyn, err := SimulateDynamic(quake, Config{Procs: 8, TileSize: 16,
@@ -152,7 +158,39 @@ func goldenCorpus(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["quake/sortlast-chunked"] = digestJSON(t, sl)
-	return out
+	return out, recorded
+}
+
+// runRecorded runs frames on cfg (a real-cache configuration) by replay of
+// a footprint-carrying raster artifact and of the L1 miss masks recorded
+// from it, instead of probing the L1.
+func runRecorded(t *testing.T, frames []*trace.Scene, cfg Config) []*Result {
+	t.Helper()
+	ctx := context.Background()
+	cfg = cfg.withDefaults()
+	a, err := BuildRasterArtifact(ctx, frames, cfg.Procs, cfg.Distribution, cfg.TileSize, ArtifactOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecordMisses(ctx, a, cfg.CacheConfig, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(frames[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRasterArtifact(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMissRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := m.RunSequence(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 // TestGoldenResultDigests pins the simulator's results against recorded
@@ -160,8 +198,10 @@ func goldenCorpus(t *testing.T) map[string]string {
 // checked-in corpus. Any change in result bytes is a bug under the
 // determinism contract; regenerate with -update-golden only for a change
 // that is meant to alter results, and say why in the change description.
+// Every real-cache case must also reproduce its recorded digest when its
+// L1 replays a miss record instead of probing.
 func TestGoldenResultDigests(t *testing.T) {
-	got := goldenCorpus(t)
+	got, recorded := goldenCorpus(t)
 	if *updateGoldenDigests {
 		js, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -188,6 +228,11 @@ func TestGoldenResultDigests(t *testing.T) {
 	for _, name := range names {
 		if got[name] != want[name] {
 			t.Errorf("%s: result digest %s, recorded %s", name, got[name], want[name])
+		}
+	}
+	for _, name := range names {
+		if d, ok := recorded[name]; ok && d != want[name] {
+			t.Errorf("%s: result digest through a miss record %s, recorded %s", name, d, want[name])
 		}
 	}
 	for name := range got {

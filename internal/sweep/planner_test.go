@@ -92,6 +92,52 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 	}
 }
 
+// TestMissRecordSweepMatchesNoMemo: in a cache × bus × buffer sweep every
+// member of a cache-geometry sub-class replays one recorded miss record, the
+// small buffer on the event kernel and the big one decoupled, and the rows
+// still match the unmemoized sweep byte for byte.
+func TestMissRecordSweepMatchesNoMemo(t *testing.T) {
+	spec := Spec{
+		Scene:   "truc640",
+		Scale:   0.1,
+		Procs:   []int{4},
+		Sizes:   []int{8},
+		Caches:  []int{1, 4, 16},
+		Buses:   []float64{1, 2},
+		Buffers: []int{16, 20000},
+	}
+	for _, par := range []int{1, 2} {
+		memo, plain := runMemoPair(t, spec, RunOpts{Parallelism: par})
+		// 12 points + 12 baselines in 2 classes of 3 geometries each.
+		if memo.Points != 12 || memo.Baselines != 12 || memo.Classes != 2 || memo.MissRecords != 6 {
+			t.Errorf("parallelism %d: plan = %+v", par, memo)
+		}
+		if plain.MissRecords != 0 {
+			t.Errorf("parallelism %d: NoMemo plan = %+v", par, plain)
+		}
+	}
+}
+
+// TestPlanMissRecordsDenseSpec: the benchmark's dense sweep axes (8 cache
+// sizes × 4 bus ratios on 64 processors) record 16 miss records, one per
+// cache geometry in each of the 2 classes, and none under NoMemo.
+func TestPlanMissRecordsDenseSpec(t *testing.T) {
+	spec := Spec{
+		Scene:  "quake",
+		Scale:  0.1,
+		Dist:   "block",
+		Procs:  []int{64},
+		Sizes:  []int{8},
+		Caches: []int{1, 2, 4, 8, 16, 32, 64, 128},
+		Buses:  []float64{0.25, 0.5, 1, 2},
+		Cache:  "real",
+	}
+	memo, plain := runMemoPair(t, spec, RunOpts{Parallelism: 2})
+	if memo.Classes != 2 || memo.MissRecords != 16 || plain.MissRecords != 0 {
+		t.Errorf("memoized plan %+v, NoMemo plan %+v", memo, plain)
+	}
+}
+
 // TestPlannerPerfectCacheSpansOnly: a pure-scan sweep (perfect cache,
 // infinite bus) memoizes through the cheaper spans-only artifact and still
 // matches the unmemoized run byte for byte.

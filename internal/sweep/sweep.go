@@ -557,19 +557,24 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 	}
 
+	// cacheGeom is a combo's L1 geometry (used by the real cache only),
+	// which also keys the planner's miss-record sub-classes.
+	cacheGeom := func(c combo) cache.Config {
+		if c.cacheKB > 0 {
+			return cacheConfigKB(c.cacheKB)
+		}
+		return cache.PaperConfig()
+	}
 	mkConfig := func(procs, size int, c combo) core.Config {
-		cfg := core.Config{
+		return core.Config{
 			Procs:          procs,
 			Distribution:   dk,
 			TileSize:       size,
 			CacheKind:      ck,
+			CacheConfig:    cacheGeom(c),
 			Bus:            memory.BusConfig{TexelsPerCycle: c.bus},
 			TriangleBuffer: c.buffer,
 		}
-		if c.cacheKB > 0 {
-			cfg.CacheConfig = cacheConfigKB(c.cacheKB)
-		}
-		return cfg
 	}
 
 	// Row-level checkpoint restore. Before anything simulates (or even
@@ -637,15 +642,17 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	// node 0, so one (1, Sizes[0]) class serves all baselines.
 	pl := newPlan(!opts.NoMemo)
 	baseClass := make([]*classState, len(combos))
-	for ci := range combos {
+	baseGeom := make([]*missState, len(combos))
+	for ci, c := range combos {
 		if needBase[ci] && !haveBase[ci] {
-			baseClass[ci] = pl.add(spec, 1, spec.Sizes[0], ck, combos[ci].bus)
+			baseClass[ci], baseGeom[ci] = pl.add(spec, 1, spec.Sizes[0], ck, cacheGeom(c), c.bus)
 		}
 	}
 	pointClass := make([]*classState, len(points))
+	pointGeom := make([]*missState, len(points))
 	for i, pt := range points {
 		if !done[i] {
-			pointClass[i] = pl.add(spec, pt.procs, pt.size, ck, pt.bus)
+			pointClass[i], pointGeom[i] = pl.add(spec, pt.procs, pt.size, ck, cacheGeom(combos[pt.combo]), pt.bus)
 		}
 	}
 	pl.seal(len(points), len(combos))
@@ -670,8 +677,10 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	}
 
 	// runOne simulates one configuration, replaying the class artifact when
-	// the planner memoized the class.
-	runOne := func(cfg core.Config, cs *classState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
+	// the planner memoized the class, and the geometry sub-class's miss
+	// record when it recorded one. Members blocked on a recording have
+	// nothing else to do, so it runs on the whole worker budget.
+	runOne := func(cfg core.Config, cs *classState, ms *missState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
 		m, err := core.NewMachine(sc, cfg)
 		if err != nil {
 			return nil, nil, err
@@ -685,6 +694,20 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			defer cs.release()
 			if err := m.SetRasterArtifact(art); err != nil {
 				return nil, nil, err
+			}
+			if ms != nil && ms.recorded {
+				recordPar := nodePar // 0 = GOMAXPROCS, already the whole machine
+				if recordPar > 0 {
+					recordPar = max(recordPar, opts.Parallelism)
+				}
+				rec, err := ms.acquire(ctx, cs, art, recordPar)
+				if err != nil {
+					return nil, nil, err
+				}
+				defer ms.release(cs)
+				if err := m.SetMissRecord(rec); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 		var rec *flight.Recorder
@@ -707,7 +730,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		if !needBase[ci] || haveBase[ci] {
 			return nil
 		}
-		res, _, err := runOne(mkConfig(1, spec.Sizes[0], combos[ci]), baseClass[ci], basePar, 0, false)
+		res, _, err := runOne(mkConfig(1, spec.Sizes[0], combos[ci]), baseClass[ci], baseGeom[ci], basePar, 0, false)
 		if err != nil {
 			return err
 		}
@@ -741,7 +764,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, rowHash)
 		}
 		cfg := mkConfig(pt.procs, pt.size, combos[pt.combo])
-		res, rec, err := runOne(cfg, pointClass[i], nodePar, spec.FlightInterval, spec.Flight)
+		res, rec, err := runOne(cfg, pointClass[i], pointGeom[i], nodePar, spec.FlightInterval, spec.Flight)
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
