@@ -6,8 +6,7 @@
 // memory bus's job. A perfect-cache model (always hits — the paper's
 // "perfect cache" that ignores even compulsory misses) and a cacheless model
 // are provided for the load-balancing-only experiments and the ratio-8
-// baseline respectively. A replay model plays back the miss masks of an
-// earlier run of a set-associative cache (see Replay).
+// baseline respectively.
 package cache
 
 import (
@@ -289,51 +288,3 @@ func (c *None) AddHits(n uint64) { c.stats.Accesses += n }
 
 // Reset implements Model.
 func (c *None) Reset() { c.stats = Stats{} }
-
-// Replay is a Model that plays back the miss masks a set-associative cache
-// returned, in call order, without looking anything up. A cache's hit/miss
-// sequence depends only on its geometry and the footprints it is driven
-// with, so masks recorded once replay into every configuration that differs
-// only outside the cache (bus, buffers, prefetch depth, setup cost), and the
-// replaying node allocates no tag array. It must be driven with the
-// recording's calls in the recording's order; a call past the end panics.
-type Replay struct {
-	masks      []uint8
-	next       int
-	repeatHits bool
-	stats      Stats
-	// Pads the struct like SetAssoc's: node workers advance their own
-	// replays' counters on every probe.
-	_ [64]byte
-}
-
-// NewReplay returns a replay of masks recorded on a cache whose RepeatHits
-// reported repeatHits.
-func NewReplay(masks []uint8, repeatHits bool) *Replay {
-	return &Replay{masks: masks, repeatHits: repeatHits}
-}
-
-// AccessFootprint implements Model: the next recorded mask.
-func (c *Replay) AccessFootprint(*[8]texture.Addr) uint8 {
-	missed := c.masks[c.next]
-	c.next++
-	c.stats.Accesses += 8
-	c.stats.Misses += uint64(bits.OnesCount8(missed))
-	return missed
-}
-
-// Stats implements Model.
-func (c *Replay) Stats() Stats { return c.stats }
-
-// RepeatHits implements Model: the recording cache's answer, so the engine
-// makes the calls it made.
-func (c *Replay) RepeatHits() bool { return c.repeatHits }
-
-// AddHits implements Model.
-func (c *Replay) AddHits(n uint64) { c.stats.Accesses += n }
-
-// Reset implements Model: rewinds to the first recorded mask.
-func (c *Replay) Reset() {
-	c.next = 0
-	c.stats = Stats{}
-}

@@ -23,47 +23,15 @@ func accessEach(c *SetAssoc, foot *[8]texture.Addr) (missed uint8) {
 
 // checkFootprints drives a cache of geometry cfg with AccessFootprint and a
 // twin with accessEach, and fails on the first footprint after which the miss
-// mask, the counters or any set's tag order differ; then it replays the
-// masks (checkReplay).
+// mask, the counters or any set's tag order differ.
 func checkFootprints(t *testing.T, name string, cfg Config, foots [][8]texture.Addr) {
 	t.Helper()
 	c, twin := New(cfg), New(cfg)
-	masks := make([]uint8, 0, len(foots))
 	for i := range foots {
 		got, want := c.AccessFootprint(&foots[i]), accessEach(twin, &foots[i])
 		if got != want || c.Stats() != twin.Stats() || !slices.Equal(c.tags, twin.tags) {
 			t.Fatalf("%s %+v footprint %d %v: mask %08b stats %+v, sequential Access mask %08b stats %+v",
 				name, cfg, i, foots[i], got, c.Stats(), want, twin.Stats())
-		}
-		masks = append(masks, got)
-	}
-	checkReplay(t, name, cfg, foots, masks)
-}
-
-// checkReplay replays masks, recorded by driving a cache of geometry cfg
-// with foots, interleaved with AddHits as the engine's repeat fast path
-// calls it, against a live cache driven the same way: every mask, every
-// Stats and RepeatHits must agree, twice, with a Reset rewinding between.
-func checkReplay(t *testing.T, name string, cfg Config, foots [][8]texture.Addr, masks []uint8) {
-	t.Helper()
-	live := New(cfg)
-	r := NewReplay(masks, live.RepeatHits())
-	if r.RepeatHits() != live.RepeatHits() {
-		t.Fatalf("%s %+v: replay RepeatHits %v, live %v", name, cfg, r.RepeatHits(), live.RepeatHits())
-	}
-	for pass := 0; pass < 2; pass++ {
-		live.Reset()
-		r.Reset()
-		for i := range foots {
-			got, want := r.AccessFootprint(&foots[i]), live.AccessFootprint(&foots[i])
-			if i%3 == 0 {
-				r.AddHits(8)
-				live.AddHits(8)
-			}
-			if got != want || r.Stats() != live.Stats() {
-				t.Fatalf("%s %+v pass %d footprint %d: replayed mask %08b stats %+v, live mask %08b stats %+v",
-					name, cfg, pass, i, got, r.Stats(), want, live.Stats())
-			}
 		}
 	}
 }
@@ -105,9 +73,8 @@ func footprintStreams(sets int) map[string][][8]texture.Addr {
 // TestAccessFootprintMatchesAccess: one footprint probe leaves exactly the
 // misses, counters and replacement state of 8 sequential Access calls, at
 // every associativity (the 4-way fixed path and the general one), on a
-// single-set cache, and for the perfect and cacheless models; the recorded
-// masks replay with the live cache's masks and Stats; and the mask drives an
-// L2 behind the L1 exactly as per-address probing would.
+// single-set cache, and for the perfect and cacheless models; and the mask
+// drives an L2 behind the L1 exactly as per-address probing would.
 func TestAccessFootprintMatchesAccess(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 8, 16} {
 		for _, sets := range []int{1, 4, 64} {
@@ -153,8 +120,9 @@ func TestAccessFootprintMatchesAccess(t *testing.T) {
 }
 
 // FuzzAccessFootprint: for any geometry and address stream, AccessFootprint
-// matches 8 sequential Access calls, and its recorded masks replay with the
-// live cache's masks and Stats. Each address is 2 bytes scaled to a
+// matches 8 sequential Access calls. (Replay of recorded misses is checked
+// against a live cache in internal/engine, TestMissEventsMatchLiveProbe.)
+// Each address is 2 bytes scaled to a
 // texel, so streams revisit lines and collide in sets often. Seeds are in
 // testdata/fuzz/FuzzAccessFootprint.
 func FuzzAccessFootprint(f *testing.F) {

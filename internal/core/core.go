@@ -272,7 +272,7 @@ type Machine struct {
 	// prebuilt raster artifact (see SetRasterArtifact).
 	artifact *RasterArtifact
 	// misses, when non-nil, replaces every node's L1 probing with replay of
-	// recorded miss masks (see SetMissRecord).
+	// recorded miss events (see SetMissRecord).
 	misses *MissRecord
 	// parallelFrames counts frames simulated by the decoupled kernel, so
 	// tests can assert which kernel actually ran.
@@ -424,27 +424,32 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		}
 		frameStart = frameEnd
 	}
+	for i, e := range m.engines {
+		if n := e.MissEventsLeft(); n != 0 {
+			return nil, fmt.Errorf("core: node %d: the attached miss record does not fit its work (%d events left over)", i, n)
+		}
+	}
 	return results, nil
 }
 
 // newEngines builds cfg's node engines (cfg already defaulted): each with
 // its own cache model and texture bus, plus the optional L2 level. With a
-// miss record, each real-cache L1 replays its node's recorded masks.
+// miss record (real caches only), each node replays its recorded events.
 func newEngines(cfg Config, misses *MissRecord) []*engine.Engine {
 	engines := make([]*engine.Engine, cfg.Procs)
 	for i := range engines {
-		var c cache.Model
+		bus := memory.NewBus(cfg.Bus)
+		var e *engine.Engine
 		switch {
 		case cfg.CacheKind == CachePerfect:
-			c = cache.NewPerfect()
+			e = engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, cache.NewPerfect(), bus)
 		case cfg.CacheKind == CacheNone:
-			c = cache.NewNone()
+			e = engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, cache.NewNone(), bus)
 		case misses != nil:
-			c = cache.NewReplay(misses.nodes[i], misses.repeatHits)
+			e = engine.NewReplaying(i, cfg.SetupCycles, cfg.PrefetchDepth, &misses.nodes[i], bus)
 		default:
-			c = cache.New(cfg.CacheConfig)
+			e = engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, cache.New(cfg.CacheConfig), bus)
 		}
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
 		if cfg.HasL2() {
 			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
 		}

@@ -162,7 +162,7 @@ func goldenCorpus(t *testing.T) (out, recorded map[string]string) {
 }
 
 // runRecorded runs frames on cfg (a real-cache configuration) by replay of
-// a footprint-carrying raster artifact and of the L1 miss masks recorded
+// a footprint-carrying raster artifact and of the L1 miss events recorded
 // from it, instead of probing the L1.
 func runRecorded(t *testing.T, frames []*trace.Scene, cfg Config) []*Result {
 	t.Helper()

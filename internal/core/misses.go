@@ -5,9 +5,10 @@
 // bandwidth, buffer depth, prefetch depth and setup cost move when a probe
 // happens in simulated time, never which probes happen or what they return
 // (engine's probe-order contract). A MissRecord therefore holds every node's
-// L1 miss masks for one (raster artifact, cache geometry) pair, and machines
-// that replay that artifact on that geometry replay the masks instead of
-// probing: their L1s are cache.Replay models with no tag arrays. An L2,
+// L1 miss events for one (raster artifact, cache geometry) pair — one per
+// probe that missed, with its mask and the hits before it — and machines
+// that replay that artifact on that geometry run their nodes as replaying
+// engines with no tag arrays, which time a stretch of hits in bulk. An L2,
 // when configured, is still probed live with the recorded misses.
 //
 // Both kernels consume a record unchanged, because both replay each node's
@@ -19,32 +20,32 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/par"
 )
 
-// MissRecord is the L1 miss-mask stream of every node of one raster
+// MissRecord is the L1 miss-event stream of every node of one raster
 // artifact's frame sequence on one cache geometry. Build it with
 // RecordMisses and attach it with Machine.SetMissRecord.
 type MissRecord struct {
-	// Cache is the L1 geometry the masks were recorded on.
-	Cache      cache.Config
-	artifact   *RasterArtifact
-	repeatHits bool
-	// masks holds every node's masks, node-major, in one exact-size backing
-	// array; nodes[p] is node p's slice of it.
-	masks []uint8
-	nodes [][]uint8
+	// Cache is the L1 geometry the events were recorded on.
+	Cache    cache.Config
+	artifact *RasterArtifact
+	// nodes[p] is node p's event stream.
+	nodes []engine.MissEvents
 }
 
 // RecordMisses probes a cache of geometry cfg per node with the node's
 // footprint streams in a (footprint-carrying) artifact, frame after frame,
-// and records every probe's miss mask. Nodes record in parallel on up to
-// workers goroutines (<=0 = GOMAXPROCS). reuse, when non-nil, is a record
-// no longer in use: the new record takes over its mask buffer when it is
-// big enough, and reuse must not be used again.
+// and records engine.MissEvents: an event for every probe that misses and
+// one for each work item's end. Nodes record in parallel on up to workers
+// goroutines (<=0 = GOMAXPROCS). reuse, when non-nil, is a record no longer
+// in use: the new record records into its node buffers, and reuse must not
+// be used again.
 func RecordMisses(ctx context.Context, a *RasterArtifact, cfg cache.Config, workers int, reuse *MissRecord) (*MissRecord, error) {
 	if !a.HasFootprints {
 		return nil, fmt.Errorf("core: miss record needs an artifact with footprints")
@@ -57,50 +58,27 @@ func RecordMisses(ctx context.Context, a *RasterArtifact, cfg cache.Config, work
 	}
 	workers = min(workers, a.Procs)
 	// One cache per worker, reset between the nodes it records.
-	first := cache.New(cfg)
 	free := make(chan *cache.SetAssoc, workers)
-	free <- first
-	for range workers - 1 {
+	for range workers {
 		free <- cache.New(cfg)
 	}
-	r := &MissRecord{Cache: cfg, artifact: a, repeatHits: first.RepeatHits()}
-
-	// Size every node's stream exactly: one probe per run when repeats
-	// are accounted in bulk, one per fragment otherwise.
-	counts := make([]int, a.Procs)
-	total := 0
-	for p := range counts {
-		for _, f := range a.Frames {
-			for _, ref := range f.perNode[p] {
-				w := &f.Tris[ref.tri].Dests[ref.dest].Work
-				if r.repeatHits {
-					counts[p] += len(w.Reps)
-				} else {
-					for _, n := range w.Reps {
-						counts[p] += int(n)
-					}
-				}
-			}
-		}
-		total += counts[p]
+	r := &MissRecord{Cache: cfg, artifact: a, nodes: make([]engine.MissEvents, a.Procs)}
+	if reuse != nil && len(reuse.nodes) >= a.Procs {
+		copy(r.nodes, reuse.nodes)
 	}
-	if reuse != nil && cap(reuse.masks) >= total {
-		r.masks = reuse.masks[:total]
-	} else {
-		r.masks = make([]uint8, total)
-	}
-	r.nodes = make([][]uint8, a.Procs)
-	off := 0
-	for p, n := range counts {
-		r.nodes[p] = r.masks[off : off+n : off+n]
-		off += n
-	}
-
 	err := par.ForEach(ctx, workers, a.Procs, func(p int) error {
 		c := <-free
 		defer func() { free <- c }()
 		c.Reset()
-		out := r.nodes[p][:0]
+		// A node records straight into reuse's buffer, growing it if it
+		// must. Without one, a node among more than the workers records
+		// into a pooled scratch buffer and keeps an exact copy, so that the
+		// growth happens about once per worker; others grow their own.
+		out, scratch := r.nodes[p][:0], (*engine.MissEvents)(nil)
+		if cap(out) == 0 && a.Procs > workers {
+			scratch = eventScratch.Get().(*engine.MissEvents)
+			out = (*scratch)[:0]
+		}
 		for _, f := range a.Frames {
 			for k, ref := range f.perNode[p] {
 				if k%ctxPollTriangles == 0 && k > 0 {
@@ -111,6 +89,11 @@ func RecordMisses(ctx context.Context, a *RasterArtifact, cfg cache.Config, work
 				out = engine.RecordMisses(c, &f.Tris[ref.tri].Dests[ref.dest].Work, out)
 			}
 		}
+		r.nodes[p] = out
+		if scratch != nil {
+			r.nodes[p], *scratch = slices.Clone(out), out
+			eventScratch.Put(scratch)
+		}
 		return nil
 	})
 	if err != nil {
@@ -119,9 +102,14 @@ func RecordMisses(ctx context.Context, a *RasterArtifact, cfg cache.Config, work
 	return r, nil
 }
 
-// SetMissRecord attaches a miss record: subsequent runs replay its masks in
-// place of probing each node's L1, with byte-identical results, and the
-// machine allocates no L1 tag arrays. The record must have been made from
+// eventScratch holds the buffers fresh records record into before keeping
+// exact-size copies: recordings reuse them rather than regrow them.
+var eventScratch = sync.Pool{New: func() any { return new(engine.MissEvents) }}
+
+// SetMissRecord attaches a miss record: subsequent runs replay its events
+// in place of probing each node's L1, with byte-identical results, and the
+// machine allocates no L1 tag arrays. A run whose work does not use up a
+// node's events exactly fails. The record must have been made from
 // the machine's attached raster artifact (attach that first) on the
 // machine's real-cache geometry. Pass nil to detach.
 func (m *Machine) SetMissRecord(r *MissRecord) error {

@@ -2,23 +2,32 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/memory"
+	"repro/internal/scene"
+	"repro/internal/texture"
 	"repro/internal/trace"
 )
 
 // TestMissRecordMatchesLive: a machine replaying a miss record reproduces the
 // live-probing run byte for byte at geometries where the engine accounts a
 // run's repeats in bulk and where it probes every fragment (RepeatHits
-// false: 1-way, 2-way, one set), on both kernels and behind an L2. The
-// record holds exactly one mask per probe the engine makes: one per run, or
-// one per fragment.
+// false: 1-way, 2-way, one set), on one frame and across a two-frame
+// sequence, on both kernels, behind an L2, at bus ratios whose clocks are
+// integral (1) and fractional (1.5, 3), and at prefetch depths 1, 32 and 33.
+// Each replaying machine runs twice, the second run after the Reset every
+// run begins with. The record holds exactly one event per probe that
+// misses, and one per work item.
 func TestMissRecordMatchesLive(t *testing.T) {
+	ctx := context.Background()
 	s := benchSceneFor(t, "quake", 0.1)
 	const line = 64
 	geoms := []cache.Config{
@@ -28,54 +37,119 @@ func TestMissRecordMatchesLive(t *testing.T) {
 		{SizeBytes: 8 * line, Ways: 8, LineBytes: line}, // one set, repeats hit
 		cache.PaperConfig(),
 	}
-	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, 4, distrib.BlockKind, 8, ArtifactOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs, frags int
-	for _, tri := range a.Frames[0].Tris {
-		for _, d := range tri.Dests {
-			runs += len(d.Work.Reps)
-			for _, n := range d.Work.Reps {
-				frags += int(n)
-			}
-		}
-	}
-	for _, g := range geoms {
-		rec, err := RecordMisses(context.Background(), a, g, 2, nil)
+	timings := []struct {
+		bus   float64
+		depth int
+	}{{1, 32}, {1.5, 1}, {1.5, 33}, {3, 1}, {3, 33}}
+	for _, frames := range [][]*trace.Scene{{s}, scene.PanSequence(s, 2, 16, 8)} {
+		a, err := BuildRasterArtifact(ctx, frames, 4, distrib.BlockKind, 8, ArtifactOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runs
-		if !cache.New(g).RepeatHits() {
-			want = frags
-		}
-		if len(rec.masks) != want || cap(rec.masks) != want {
-			t.Errorf("%+v: record holds %d masks (cap %d), want exactly %d", g, len(rec.masks), cap(rec.masks), want)
-		}
-		for _, buf := range []int{DefaultTriangleBuffer, goldenSmallBuffer} {
-			for _, l2 := range []bool{false, true} {
-				cfg := Config{Procs: 4, TileSize: 8, CacheConfig: g, TriangleBuffer: buf,
-					Bus: memory.BusConfig{TexelsPerCycle: 1}}
-				if l2 {
-					cfg.L2Config, cfg.MainBus = l2Config(), memory.BusConfig{TexelsPerCycle: 0.5}
-				}
-				live, err := Simulate(s, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runRecorded(t, []*trace.Scene{s}, cfg)[0]
-				if digestJSON(t, got) != digestJSON(t, live) {
-					t.Errorf("%+v buffer %d L2 %v: replayed record diverged from live probing\nlive:   %+v\nrecord: %+v",
-						g, buf, l2, live.Nodes[0], got.Nodes[0])
+		for _, g := range geoms {
+			rec, err := RecordMisses(ctx, a, g, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEventCounts(t, a, g, rec)
+			for _, buf := range []int{DefaultTriangleBuffer, goldenSmallBuffer} {
+				for _, l2 := range []bool{false, true} {
+					for _, tm := range timings {
+						cfg := Config{Procs: 4, TileSize: 8, CacheConfig: g, TriangleBuffer: buf,
+							PrefetchDepth: tm.depth, Bus: memory.BusConfig{TexelsPerCycle: tm.bus}}
+						if l2 {
+							cfg.L2Config, cfg.MainBus = l2Config(), memory.BusConfig{TexelsPerCycle: 0.5}
+						}
+						name := fmt.Sprintf("%d frames %+v buffer %d L2 %v bus %v depth %d",
+							len(frames), g, buf, l2, tm.bus, tm.depth)
+						checkRecordedRuns(t, name, frames, cfg, a, rec)
+					}
 				}
 			}
 		}
 	}
 }
 
+// checkRecordedRuns runs frames on cfg probing live, then twice on one
+// machine replaying artifact a and record rec, and fails unless every run
+// returns the live results' bytes.
+func checkRecordedRuns(t *testing.T, name string, frames []*trace.Scene, cfg Config, a *RasterArtifact, rec *MissRecord) {
+	t.Helper()
+	lm, err := NewMachine(frames[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := lm.RunSequence(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(frames[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRasterArtifact(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMissRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		got, err := m.RunSequence(frames)
+		if err != nil {
+			t.Fatalf("%s run %d: %v", name, run, err)
+		}
+		if digestJSON(t, got) != digestJSON(t, live) {
+			t.Errorf("%s run %d: replayed record diverged from live probing\nlive:   %+v\nrecord: %+v",
+				name, run, live[0].Nodes[0], got[0].Nodes[0])
+		}
+	}
+}
+
+// checkEventCounts fails unless rec holds, per node, exactly one event with
+// a nonzero miss mask per probe of a's footprint streams that misses on a
+// cache of geometry g — probes made one per run when repeats hit, one per
+// fragment otherwise — and one item-end event per work item.
+func checkEventCounts(t *testing.T, a *RasterArtifact, g cache.Config, rec *MissRecord) {
+	t.Helper()
+	for p := 0; p < a.Procs; p++ {
+		c, misses, items := cache.New(g), 0, 0
+		for _, f := range a.Frames {
+			for _, ref := range f.perNode[p] {
+				w := &f.Tris[ref.tri].Dests[ref.dest].Work
+				items++
+				for r, reps := range w.Reps {
+					if c.RepeatHits() {
+						reps = 1
+					}
+					for range reps {
+						if c.AccessFootprint((*[8]texture.Addr)(w.Addrs[r*8:r*8+8])) != 0 {
+							misses++
+						}
+					}
+				}
+			}
+		}
+		var gotMisses, gotItems int
+		for _, e := range rec.nodes[p] {
+			switch {
+			case e&(1<<8) != 0:
+				gotItems++
+			case uint8(e) != 0:
+				gotMisses++
+			default:
+				t.Fatalf("%+v node %d: an empty-mask event %x", g, p, e)
+			}
+		}
+		if gotMisses != misses || gotItems != items {
+			t.Errorf("%+v node %d: %d miss events and %d item ends, want exactly %d and %d",
+				g, p, gotMisses, gotItems, misses, items)
+		}
+	}
+}
+
 // TestMissRecordReusesBuffer: a record made with reuse takes over the
-// released record's mask buffer and still replays its own geometry exactly.
+// released record's node buffers and still replays its own geometry
+// exactly.
 func TestMissRecordReusesBuffer(t *testing.T) {
 	ctx := context.Background()
 	s := benchSceneFor(t, "truc640", 0.1)
@@ -88,12 +162,18 @@ func TestMissRecordReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oldNodes := slices.Clone(old.nodes)
 	rec, err := RecordMisses(ctx, a, cache.PaperConfig(), 0, old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &rec.masks[0] != &old.masks[0] {
-		t.Error("record did not reuse the released record's buffer")
+	for p, ev := range rec.nodes {
+		if len(ev) == 0 || len(ev) > len(oldNodes[p]) {
+			t.Fatalf("node %d: %d events at 16 KB, %d at 1 KB: want fewer, but some", p, len(ev), len(oldNodes[p]))
+		}
+		if &ev[0] != &oldNodes[p][0] {
+			t.Errorf("node %d: record did not reuse the released record's buffer", p)
+		}
 	}
 	cfg := Config{Procs: 4, Bus: memory.BusConfig{TexelsPerCycle: 1}}
 	live, err := Simulate(s, cfg)
@@ -113,6 +193,95 @@ func TestMissRecordReusesBuffer(t *testing.T) {
 	for run := 0; run < 2; run++ { // a rerun rewinds the replay
 		if got := m.Run(); digestJSON(t, got) != digestJSON(t, live) {
 			t.Errorf("run %d: replay of a reused buffer diverged from live probing", run)
+		}
+	}
+}
+
+// TestMissRecordConcurrentRecordings: recordings running at once, as the
+// sweep planner runs them for a class's geometries, each match a recording
+// made alone on one worker (run it under -race: they share scratch
+// buffers).
+func TestMissRecordConcurrentRecordings(t *testing.T) {
+	ctx := context.Background()
+	s := benchSceneFor(t, "truc640", 0.1)
+	a, err := BuildRasterArtifact(ctx, []*trace.Scene{s}, 16, distrib.BlockKind, 8, ArtifactOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var geoms []cache.Config
+	for kb := 1; kb <= 32; kb *= 2 {
+		geoms = append(geoms, cache.Config{SizeBytes: kb << 10, Ways: 4, LineBytes: 64})
+	}
+	for round := 0; round < 3; round++ {
+		recs := make([]*MissRecord, len(geoms))
+		errs := make([]error, len(geoms))
+		var wg sync.WaitGroup
+		for i, g := range geoms {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i], errs[i] = RecordMisses(ctx, a, g, 4, nil)
+			}()
+		}
+		wg.Wait()
+		for i, g := range geoms {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			alone, err := RecordMisses(ctx, a, g, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range alone.nodes {
+				if !slices.Equal(recs[i].nodes[p], alone.nodes[p]) {
+					t.Fatalf("round %d %+v node %d: concurrent recording differs from a recording alone", round, g, p)
+				}
+			}
+		}
+	}
+}
+
+// TestMissRecordForeignEventsFail: a record whose events do not fit the
+// attached artifact's work fails the run instead of producing a result.
+// Here the record was made on a two-frame sequence and its identity check
+// is bypassed, as a stale record would be, to replay its first frame alone:
+// the second frame's events are left over. The reverse, a one-frame record
+// under a two-frame artifact, runs past the record's end.
+func TestMissRecordForeignEventsFail(t *testing.T) {
+	ctx := context.Background()
+	s := benchSceneFor(t, "truc640", 0.1)
+	frames := scene.PanSequence(s, 2, 16, 8)
+	build := func(frames []*trace.Scene) *RasterArtifact {
+		a, err := BuildRasterArtifact(ctx, frames, 4, distrib.BlockKind, 16, ArtifactOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	one, two := build(frames[:1]), build(frames)
+	for _, c := range []struct {
+		name      string
+		from, run *RasterArtifact
+	}{{"two-frame record, one frame run", two, one}, {"one-frame record, two frames run", one, two}} {
+		rec, err := RecordMisses(ctx, c.from, cache.PaperConfig(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.artifact = c.run
+		for _, buf := range []int{DefaultTriangleBuffer, goldenSmallBuffer} {
+			m, err := NewMachine(s, Config{Procs: 4, TriangleBuffer: buf, Bus: memory.BusConfig{TexelsPerCycle: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetRasterArtifact(c.run); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetMissRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := m.RunSequenceContext(ctx, frames[:len(c.run.Frames)]); err == nil || !strings.Contains(err.Error(), "does not fit") {
+				t.Errorf("%s, buffer %d: returned %v, %v; want a misfit error", c.name, buf, res, err)
+			}
 		}
 	}
 }

@@ -102,6 +102,15 @@ type Engine struct {
 	// fragment PrefetchDepth slots earlier retires (when it enters the FIFO).
 	ring    []float64
 	ringPos int
+	// events, when non-nil, stands in for the L1 (NewReplaying): the node's
+	// recorded miss events, replayed from index next on, and l1Misses
+	// counts the replayed misses. cache is nil then. The fields written per
+	// fragment or event sit between a read-only head and tail of together
+	// more than 64 bytes, so that no cache line holds written fields of two
+	// nodes' engines.
+	next     int
+	l1Misses uint64
+	events   *MissEvents
 	// rec, when non-nil, receives one phase attribution per triangle.
 	rec PhaseRecorder
 }
@@ -115,20 +124,8 @@ func New(id int, setupCycles int, c cache.Model, bus *memory.Bus) *Engine {
 // NewWithPrefetch returns an idle engine with an explicit prefetch fragment
 // FIFO depth (≥1; 1 means no overlap between fetch and scan).
 func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *memory.Bus) *Engine {
-	if setupCycles < 0 {
-		setupCycles = 0
-	}
-	if prefetchDepth < 1 {
-		prefetchDepth = 1
-	}
-	e := &Engine{
-		id:          id,
-		setupCycles: float64(setupCycles),
-		cache:       c,
-		bus:         bus,
-		ring:        make([]float64, prefetchDepth),
-		repeatHits:  c.RepeatHits(),
-	}
+	e := newEngine(id, setupCycles, prefetchDepth, bus)
+	e.cache, e.repeatHits = c, c.RepeatHits()
 	// A perfect cache on an infinite bus never stalls and fetches nothing:
 	// scanning is then pure pixel counting, so skip texel address generation
 	// entirely. This is the configuration of every load-balancing-only
@@ -137,6 +134,19 @@ func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *mem
 		e.pureScan = true
 	}
 	return e
+}
+
+// NewReplaying returns an idle engine whose L1 is a recorded miss-event
+// stream (see MissEvents) instead of a cache model: it allocates no tag
+// array and takes its work only through ProcessPrecomputed.
+func NewReplaying(id, setupCycles, prefetchDepth int, ev *MissEvents, bus *memory.Bus) *Engine {
+	e := newEngine(id, setupCycles, prefetchDepth, bus)
+	e.events = ev
+	return e
+}
+
+func newEngine(id, setupCycles, prefetchDepth int, bus *memory.Bus) *Engine {
+	return &Engine{id: id, setupCycles: float64(max(setupCycles, 0)), bus: bus, ring: make([]float64, max(prefetchDepth, 1))}
 }
 
 // SetRecorder attaches (or, with nil, detaches) the flight-recorder hook.
@@ -184,7 +194,22 @@ func (e *Engine) Time() float64 { return e.time }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // CacheStats returns the node's texture-cache counters.
-func (e *Engine) CacheStats() cache.Stats { return e.cache.Stats() }
+func (e *Engine) CacheStats() cache.Stats {
+	if e.events != nil { // every fragment looks up 8 texels
+		return cache.Stats{Accesses: 8 * e.stats.Fragments, Misses: e.l1Misses}
+	}
+	return e.cache.Stats()
+}
+
+// MissEventsLeft returns how many of a replaying engine's miss events the
+// run has not consumed, or minus how many work items it ran past their
+// end: nonzero after a run means the events were recorded from other work.
+func (e *Engine) MissEventsLeft() int {
+	if e.events == nil {
+		return 0
+	}
+	return len(*e.events) - e.next
+}
 
 // BusStats returns the node's texture-bus counters.
 func (e *Engine) BusStats() memory.BusStats { return e.bus.Stats() }
@@ -202,7 +227,9 @@ func (e *Engine) TexelToFragment() float64 {
 func (e *Engine) Reset() {
 	e.time = 0
 	e.stats = Stats{}
-	e.cache.Reset()
+	if e.next, e.l1Misses = 0, 0; e.cache != nil {
+		e.cache.Reset()
+	}
 	e.bus.Reset()
 	if e.l2 != nil {
 		e.l2.Reset()
@@ -227,7 +254,7 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // earlier than arrival, and returns the absolute completion time. The
 // triangle holds the pipeline for max(setup, scan) cycles (setup overlaps
 // scanning; a clipped sliver still costs the full setup time). Each
-// fragment's trilinear footprint is generated here and timed by
+// fragment's trilinear footprint is generated here, probed and timed by
 // scanFragment.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	start := e.StartTriangle(arrival)
@@ -240,7 +267,7 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 		u, v := spanUV(w.Map, sp)
 		for x := sp.X0; x < sp.X1; x++ {
 			w.Tex.TrilinearFootprint(u, v, w.LOD, &e.foot)
-			s = e.scanFragment(start, s, &e.foot)
+			s = e.scanFragment(start, s, e.cache.AccessFootprint(&e.foot), &e.foot)
 			u += w.Map.DuDx
 			v += w.Map.DvDx
 		}
@@ -268,12 +295,15 @@ func (e *Engine) scanPure(s float64, segs []raster.Span) float64 {
 	return s
 }
 
-// scanFragment times one fragment with a known footprint, scanned from
-// cycle s of a triangle that arrived at start, and returns the cycle it
-// retires. It is the engine's only per-fragment routine.
-func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
+// scanFragment times one fragment scanned from cycle s of a triangle that
+// arrived at start, whose L1 probe returned the miss mask missed: one scan
+// cycle, then fetches of the missing lines and a stall for them. It enters
+// the fragment into the prefetch ring and returns the cycle it retires.
+// foot, the fragment's footprint, is read only with an L2 attached. It is
+// the engine's only per-fragment routine apart from hits.
+func (e *Engine) scanFragment(start, s float64, missed uint8, foot *[8]texture.Addr) float64 {
 	s++ // one scan cycle per fragment
-	missed := e.cache.AccessFootprint(foot)
+	e.stats.Fragments++
 	if missed != 0 {
 		misses, mainMisses := bits.OnesCount8(missed), 0
 		if e.l2 != nil {
@@ -310,7 +340,32 @@ func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 	if e.ringPos == len(e.ring) {
 		e.ringPos = 0
 	}
-	e.stats.Fragments++
+	return s
+}
+
+// hits retires n fragments scanned from cycle s whose L1 probes all hit:
+// one scan cycle each, no fetch, no stall. Only the last len(ring) of them
+// stay in the prefetch ring, and they overwrite all of it, so a longer
+// stretch skips the rest in one addition and the ring head needs no
+// adjusting. The addition equals the per-fragment increments bit for bit
+// while n <= s < 2^51: the sum then crosses at most one binade boundary, so
+// both round once, to a grid whose spacing divides 1 an even number of
+// times (DESIGN.md §11).
+func (e *Engine) hits(s float64, n int) float64 {
+	e.stats.Fragments += uint64(n)
+	ring, pos := e.ring, e.ringPos
+	if n > len(ring) && float64(n) <= s && s < 1<<51 {
+		s += float64(n - len(ring))
+		n = len(ring)
+	}
+	for ; n > 0; n-- {
+		s++
+		ring[pos] = s
+		if pos++; pos == len(ring) {
+			pos = 0
+		}
+	}
+	e.ringPos = pos
 	return s
 }
 

@@ -8,32 +8,44 @@
 // consecutive identical footprints, and ProcessPrecomputed replays it into
 // any cache/bus configuration with byte-identical timing and counters.
 //
-// Equivalence contract: both paths time every fragment with scanFragment,
-// so for the same arrival and the same triangle ProcessPrecomputed performs
-// the same floating-point operations in the same order as ProcessTriangle.
-// A run's repeated fragments re-access a footprint the previous fragment
-// just touched; when the cache model guarantees such repeats hit without
-// disturbing replacement state (cache.Model.RepeatHits), the replay accounts
-// them in bulk and skips the lookups — the fast path that makes replay
-// several times cheaper than simulation. Models without the guarantee (the
-// cacheless model) replay every repeat as real accesses.
+// Equivalence contract: ProcessTriangle times every fragment with
+// scanFragment, and ProcessPrecomputed times each fragment it probes the
+// same way. A run's repeated fragments re-access a footprint the previous
+// fragment just touched; when the cache model guarantees such repeats hit
+// without disturbing replacement state (cache.Model.RepeatHits), the replay
+// accounts them in bulk and skips the lookups. Models without the guarantee
+// (the cacheless model) replay every repeat as real accesses. A hit
+// fragment only advances the scan clock by one cycle and enters the
+// prefetch ring, and hits does exactly that for a stretch of them, so for
+// the same arrival and the same triangle every path computes the same
+// floating-point values in the same order: a stretch longer than the ring
+// skips ahead in one addition that equals the per-fragment increments
+// (see hits).
 //
 // Probe-order contract: for each run of w.Reps, in order, ProcessPrecomputed
 // calls the L1's AccessFootprint once with the run's footprint when the
 // model's RepeatHits holds, and once per fragment of the run otherwise; a
 // pure-scan engine makes no calls. Nothing else — not the bus, the buffers,
-// the prefetch depth nor the setup cost — changes which calls are made, so
-// RecordMisses, which makes exactly these calls, captures every miss mask a
-// replay of the same work sees, and a cache.Replay of those masks stands in
-// for the L1 of any configuration with the same cache geometry. In a
-// memoized dense sweep (8 cache sizes × 4 bus ratios on 64 nodes, perfbench
-// sweep_dense; pprof on the same host) replay then takes 55% of the CPU
-// time — the run loop here 26%, scanFragment 10%, the replayed probe 14% —
-// and recording, one probe pass per cache geometry, 31%.
+// the prefetch depth nor the setup cost — changes which calls are made or
+// what they return, so RecordMisses, which makes exactly these calls, keeps
+// every miss a replay of the same work sees as a miss event (MissEvents),
+// and those events stand in for the L1 of any configuration with the same
+// cache geometry (NewReplaying). A replaying engine's work is proportional
+// to triangles plus misses, not to fragments: between two events every
+// fragment hit, so it advances the clock over the stretch with hits, and at
+// each event it does scanFragment's miss arithmetic. Without an L2 it never reads
+// the footprints. In a memoized dense sweep (8 cache sizes × 4 bus ratios
+// on 64 nodes, perfbench sweep_dense; pprof of 4 rounds of its three specs,
+// 2-core Xeon, Go 1.24) replay takes 25% of the CPU time — replayMisses 21%
+// with hits and scanFragment inside it — recording, one probe pass per cache
+// geometry and raster class, 57% (SetAssoc.AccessFootprint 40%), and
+// artifact builds 14%. Before miss events, replay took 54%.
 package engine
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/raster"
@@ -94,12 +106,16 @@ func (w *TriangleWork) Record(out *PrecomputedWork) {
 // absolute completion time — ProcessTriangle with the address generation
 // replaced by the recorded stream. Byte-identical to ProcessTriangle for a
 // work item built from the same triangle on the same scene. Its L1 probes
-// follow the package comment's probe-order contract.
+// follow the package comment's probe-order contract; a replaying engine
+// (NewReplaying) reads its miss events instead.
 func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
 	if e.pureScan {
 		return e.finishTriangle(start, stall0, e.scanPure(start, w.Segments))
+	}
+	if e.events != nil {
+		return e.finishTriangle(start, stall0, e.replayMisses(start, w))
 	}
 	s := start
 	for r := range w.Reps {
@@ -107,49 +123,104 @@ func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64
 		reps := int(w.Reps[r])
 		if !e.repeatHits {
 			for j := 0; j < reps; j++ {
-				s = e.scanFragment(start, s, foot)
+				s = e.scanFragment(start, s, e.cache.AccessFootprint(foot), foot)
 			}
 			continue
 		}
-		s = e.scanFragment(start, s, foot)
+		s = e.scanFragment(start, s, e.cache.AccessFootprint(foot), foot)
 		if reps > 1 {
 			// The remaining fragments of the run re-access the footprint
 			// the fragment before them just touched: guaranteed hits that
-			// leave the cache state untouched, no misses, no stalls. Only
-			// the scan clock, the prefetch ring and the counters move.
+			// leave the cache state untouched.
 			e.cache.AddHits(uint64(reps-1) * 8)
-			for j := 1; j < reps; j++ {
-				s++
-				e.ring[e.ringPos] = s
-				e.ringPos++
-				if e.ringPos == len(e.ring) {
-					e.ringPos = 0
-				}
-			}
-			e.stats.Fragments += uint64(reps - 1)
+			s = e.hits(s, reps-1)
 		}
 	}
 	return e.finishTriangle(start, stall0, s)
 }
 
-// RecordMisses drives c with the AccessFootprint and AddHits calls
-// ProcessPrecomputed makes for w on an engine whose L1 is c (the package
-// comment's probe-order contract) and appends each call's miss mask to out.
-// c is left in the state, counters included, that replay leaves it in.
-func RecordMisses(c cache.Model, w *PrecomputedWork, out []uint8) []uint8 {
-	repeatHits := c.RepeatHits()
+// MissEvents is one node's recorded L1 miss stream: per work item, in
+// order, an event for every probe that missed, in probe order, then an
+// item-end event. An event packs the probe's miss mask in its low 8 bits,
+// the item-end flag (missEnd) above them and, in the bits above that, the
+// number of hit fragments before its own fragment — or, for an item end,
+// before the item's end. A longer hit stretch than maxMissGap is bridged by
+// events with an empty mask, which replay as hits.
+type MissEvents []uint32
+
+const (
+	missEnd      = 1 << 8
+	missGapShift = 9
+	maxMissGap   = 1<<(32-missGapShift) - 1
+)
+
+// replayMisses times w's fragments, scanned from start, from the engine's
+// miss events up to w's item end: hit stretches in bulk, each event with
+// scanFragment. Only with an L2 attached does it read w, whose runs a
+// cursor walks to find a missing fragment's footprint. Work past the end of
+// the events steps the cursor past it (MissEventsLeft < 0).
+func (e *Engine) replayMisses(start float64, w *PrecomputedWork) float64 {
+	ev, s, base := *e.events, start, e.stats.Fragments
+	run, runEnd := -1, 0
+	for e.next < len(ev) {
+		x := ev[e.next]
+		e.next++
+		gap := int(x >> missGapShift)
+		s = e.hits(s, gap)
+		if x&missEnd != 0 {
+			return s
+		}
+		missed := uint8(x)
+		e.l1Misses += uint64(bits.OnesCount8(missed))
+		var foot *[8]texture.Addr
+		if e.l2 != nil {
+			f := int(e.stats.Fragments - base) // the missing fragment of w
+			for runEnd <= f {
+				run++
+				runEnd += int(w.Reps[run])
+			}
+			foot = (*[8]texture.Addr)(w.Addrs[run*8 : run*8+8])
+		}
+		s = e.scanFragment(start, s, missed, foot)
+	}
+	e.next++
+	return s
+}
+
+// RecordMisses probes c with w's footprints as ProcessPrecomputed on an
+// engine whose L1 is c does (the package comment's probe-order contract)
+// and appends w's miss events to out: one per probe that misses, then the
+// item end.
+func RecordMisses(c cache.Model, w *PrecomputedWork, out MissEvents) MissEvents {
+	probes := int32(1) // per run: its repeats hit
+	if !c.RepeatHits() {
+		probes = math.MaxInt32 // per fragment
+	}
+	gap := 0
 	for r, reps := range w.Reps {
 		foot := (*[8]texture.Addr)(w.Addrs[r*8 : r*8+8])
-		if !repeatHits {
-			for j := int32(0); j < reps; j++ {
-				out = append(out, c.AccessFootprint(foot))
+		n := min(reps, probes)
+		for range n {
+			if missed := c.AccessFootprint(foot); missed != 0 {
+				out, gap = appendMissEvent(out, gap, uint32(missed)), 0
+			} else {
+				gap++
 			}
-			continue
 		}
-		out = append(out, c.AccessFootprint(foot))
-		if reps > 1 {
-			c.AddHits(uint64(reps-1) * 8)
-		}
+		gap += int(reps - n)
 	}
-	return out
+	return appendMissEvent(out, gap, missEnd)
+}
+
+// appendMissEvent appends the event low (a mask or missEnd) after gap hit
+// fragments, bridging a gap longer than maxMissGap. It grows out by
+// doubling, which leaves less garbage than append's smaller steps.
+func appendMissEvent(out MissEvents, gap int, low uint32) MissEvents {
+	for ; gap > maxMissGap; gap -= maxMissGap + 1 {
+		out = append(out, maxMissGap<<missGapShift)
+	}
+	if len(out) == cap(out) {
+		out = slices.Grow(out, max(len(out), 1024))
+	}
+	return append(out, uint32(gap)<<missGapShift|low)
 }

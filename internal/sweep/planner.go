@@ -12,9 +12,9 @@
 // The cache probe memoizes one level further down. A node's L1 hit/miss
 // sequence depends only on its footprint stream and the cache geometry, so
 // inside a memoized real-cache class the planner keys sub-classes by L1
-// geometry, records each multi-member sub-class's miss masks once into a
-// core.MissRecord, and replays the masks into every member, whatever its
-// bus or buffer depth. NoMemo turns this off with the rest.
+// geometry, records each multi-member sub-class's L1 misses once into a
+// core.MissRecord, and replays them into every member, whatever its bus or
+// buffer depth. NoMemo turns this off with the rest.
 package sweep
 
 import (
@@ -54,7 +54,7 @@ type PlanStats struct {
 	// Memoized reports whether memoization was enabled for the run.
 	Memoized bool `json:"memoized"`
 	// MissRecords is how many cache-geometry sub-classes of memoized
-	// classes had their L1 miss masks recorded once and replayed into
+	// classes had their L1 misses recorded once and replayed into
 	// every member, instead of each member probing its own caches.
 	MissRecords int `json:"miss_records"`
 }
@@ -81,7 +81,7 @@ type classState struct {
 	built     bool
 	art       *core.RasterArtifact
 	err       error
-	// spare is a released miss record whose mask buffer the class's next
+	// spare is a released miss record whose buffers the class's next
 	// recording takes over.
 	spare *core.MissRecord
 }
