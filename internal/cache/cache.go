@@ -92,6 +92,18 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / c.LineBytes / c.Ways }
 
+// RepeatHits reports whether a SetAssoc of this geometry keeps the Model
+// guarantee. A trilinear footprint touches a 2×2 texel block neighborhood
+// per mip level; x-adjacent blocks differ by one in line index, so with at
+// least 2 sets each set receives at most 2 of a level's lines — at most 4
+// lines per set across both levels. With 4 or more ways the footprint's own
+// insertions evict none of its lines, so an immediate re-access hits
+// everywhere and the MRU rotation reproduces the same final order. A
+// single-set cache can see all 8 lines collide, so it needs 8 ways.
+func (c Config) RepeatHits() bool {
+	return c.Ways >= 8 || (c.Ways >= 4 && c.Sets() >= 2)
+}
+
 // SetAssoc is an LRU set-associative cache. Each set keeps its lines ordered
 // most-recently-used first, so a lookup is a short scan and a hit is a small
 // rotate — fast enough for the hundreds of millions of accesses a full-frame
@@ -146,31 +158,43 @@ func (c *SetAssoc) Access(addr texture.Addr) bool {
 	return true
 }
 
-// AccessFootprint implements Model. An address in the same line as its
+// AccessFootprint implements Model with ProbeFootprint, the one probe body.
+func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missed uint8) {
+	missed, _ = c.ProbeFootprint(foot)
+	return missed
+}
+
+// ProbeFootprint is AccessFootprint that also reports still: every line it
+// looked up was already its set's MRU, so the probe hit everywhere and left
+// the replacement state as it was. An address in the same line as its
 // predecessor is a hit that changes nothing (the predecessor just made that
 // line MRU), so it skips the set lookup; a bilinear 2×2 falls inside one
 // 4×4-texel line 9 times in 16. Four-way sets, the paper's geometry, are
 // updated in place by fixed shifts instead of touch's copies.
-func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missed uint8) {
+func (c *SetAssoc) ProbeFootprint(foot *[8]texture.Addr) (missed uint8, still bool) {
 	c.stats.Accesses += 8
-	tags, setMask, lineBits, fourWay := c.tags, c.setMask, c.lineBits, c.cfg.Ways == 4
+	tags, setMask, lineBits, ways := c.tags, c.setMask, c.lineBits, c.cfg.Ways
 	prev := ^(uint32(foot[0]) >> lineBits) // never the first line
+	moved := false
 	for i, a := range foot {
 		line := uint32(a) >> lineBits
 		if line == prev {
 			continue
 		}
 		prev = line
-		if !fourWay {
+		base := int(line&setMask) * ways
+		if tags[base] == line {
+			continue
+		}
+		moved = true
+		if ways != 4 {
 			if c.touch(line) {
 				missed |= 1 << i
 			}
 			continue
 		}
-		base := int(line&setMask) * 4
 		w := (*[4]uint32)(tags[base : base+4])
 		switch line {
-		case w[0]:
 		case w[1]:
 			w[0], w[1] = line, w[0]
 		case w[2]:
@@ -183,7 +207,7 @@ func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missed uint8) {
 		}
 	}
 	c.stats.Misses += uint64(bits.OnesCount8(missed))
-	return missed
+	return missed, !moved
 }
 
 // touch makes line the MRU entry of its set and reports whether it missed
@@ -209,16 +233,8 @@ func (c *SetAssoc) touch(line uint32) bool {
 // Stats implements Model.
 func (c *SetAssoc) Stats() Stats { return c.stats }
 
-// RepeatHits implements Model. A trilinear footprint touches a 2×2 texel
-// block neighborhood per mip level; x-adjacent blocks differ by one in line
-// index, so with at least 2 sets each set receives at most 2 of a level's
-// lines — at most 4 lines per set across both levels. With 4 or more ways
-// the footprint's own insertions evict none of its lines, so an immediate
-// re-access hits everywhere and the MRU rotation reproduces the same final
-// order. A single-set cache can see all 8 lines collide, so it needs 8 ways.
-func (c *SetAssoc) RepeatHits() bool {
-	return c.cfg.Ways >= 8 || (c.cfg.Ways >= 4 && c.setMask >= 1)
-}
+// RepeatHits implements Model with the geometry's Config.RepeatHits.
+func (c *SetAssoc) RepeatHits() bool { return c.cfg.RepeatHits() }
 
 // AddHits implements Model.
 func (c *SetAssoc) AddHits(n uint64) { c.stats.Accesses += n }

@@ -363,10 +363,9 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	return nil
 }
 
-// checkArtifactFrames sanity-checks that the run's frames line up with the
-// attached artifact.
-func (m *Machine) checkArtifactFrames(frames []*trace.Scene) error {
-	a := m.artifact
+// checkFrames sanity-checks that frames line up with the frames artifact a
+// was built from, by count, name, triangle count and screen.
+func checkFrames(a *RasterArtifact, frames []*trace.Scene) error {
 	if len(frames) != len(a.Frames) {
 		return fmt.Errorf("core: run has %d frames, artifact %d", len(frames), len(a.Frames))
 	}

@@ -371,7 +371,7 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		}
 	}
 	if m.artifact != nil {
-		if err := m.checkArtifactFrames(frames); err != nil {
+		if err := checkFrames(m.artifact, frames); err != nil {
 			return nil, err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/memory"
 	"repro/internal/scene"
@@ -162,20 +163,22 @@ func goldenCorpus(t *testing.T) (out, recorded map[string]string) {
 }
 
 // runRecorded runs frames on cfg (a real-cache configuration) by replay of
-// a footprint-carrying raster artifact and of the L1 miss events recorded
-// from it, instead of probing the L1.
+// a raster artifact and of the L1 miss events recorded from it, instead of
+// probing the L1. The artifact is spans-only, as a memoized sweep class
+// builds it, unless cfg's L2 needs the footprints.
 func runRecorded(t *testing.T, frames []*trace.Scene, cfg Config) []*Result {
 	t.Helper()
 	ctx := context.Background()
 	cfg = cfg.withDefaults()
-	a, err := BuildRasterArtifact(ctx, frames, cfg.Procs, cfg.Distribution, cfg.TileSize, ArtifactOpts{})
+	a, err := BuildRasterArtifact(ctx, frames, cfg.Procs, cfg.Distribution, cfg.TileSize, ArtifactOpts{SpansOnly: !cfg.HasL2()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecordMisses(ctx, a, cfg.CacheConfig, 0, nil)
+	recs, err := RecordMisses(ctx, a, frames, []cache.Config{cfg.CacheConfig}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := recs[0]
 	m, err := NewMachine(frames[0], cfg)
 	if err != nil {
 		t.Fatal(err)

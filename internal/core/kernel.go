@@ -63,21 +63,21 @@ const ctxPollTriangles = 1 << 10
 // time, rare enough to stay invisible in profiles.
 const cancelCheckEvents = 1 << 14
 
-// frameReplay is one frame's replay input. Without recorded footprint
-// streams, each work item regenerates its texel addresses inline from its
-// source triangle.
+// frameReplay is one frame's replay input. Unless precomputed — recorded
+// footprint streams, or a miss record that stands in for them — each work
+// item regenerates its texel addresses inline from its source triangle.
 type frameReplay struct {
-	fa         *FrameArtifact
-	src        *trace.Scene
-	mgr        *texture.Manager
-	footprints bool
+	fa          *FrameArtifact
+	src         *trace.Scene
+	mgr         *texture.Manager
+	precomputed bool
 }
 
 // process runs work item ref on engine e, arriving at arrival, and returns
 // its completion time.
 func (r *frameReplay) process(e *engine.Engine, arrival float64, ref destRef) float64 {
 	d := &r.fa.Tris[ref.tri].Dests[ref.dest]
-	if r.footprints {
+	if r.precomputed {
 		return e.ProcessPrecomputed(arrival, &d.Work)
 	}
 	w := triangleWork(r.mgr, &r.src.Triangles[ref.tri], d.Work.Segments)
@@ -98,7 +98,7 @@ func (m *Machine) runFrameArtifact(ctx context.Context, fi int, f *trace.Scene) 
 	r := &frameReplay{src: f, mgr: m.mgr}
 	var counts []int
 	if m.artifact != nil {
-		r.fa, r.footprints = m.artifact.Frames[fi], m.artifact.HasFootprints
+		r.fa, r.precomputed = m.artifact.Frames[fi], m.artifact.HasFootprints || m.misses != nil
 		counts = r.fa.counts
 	} else {
 		counts = m.routeCounts(f)

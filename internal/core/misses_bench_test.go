@@ -24,10 +24,11 @@ func BenchmarkProcessPrecomputed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := RecordMisses(ctx, a, cache.PaperConfig(), 0, nil)
+	recs, err := RecordMisses(ctx, a, []*trace.Scene{s}, []cache.Config{cache.PaperConfig()}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rec := recs[0]
 	f := a.Frames[0]
 	var works []*engine.PrecomputedWork
 	frags := 0
@@ -58,4 +59,42 @@ func BenchmarkProcessPrecomputed(b *testing.B) {
 			b.ReportMetric(float64(frags)*float64(b.N)/b.Elapsed().Seconds(), "frags/s")
 		})
 	}
+}
+
+// BenchmarkRecordMisses times the recording pass on the quake class of
+// BenchmarkProcessPrecomputed (scale 0.25, 64 block-8 nodes, a spans-only
+// artifact) for the 8 geometries of perfbench sweep_dense, 4-way 1–128 KB,
+// on one worker: per-geometry records each geometry alone, a chain of one,
+// and one-pass records all 8 in one call, which reads each node's work once
+// and walks the geometries as one inclusion chain.
+func BenchmarkRecordMisses(b *testing.B) {
+	ctx := context.Background()
+	s := benchSceneFor(b, "quake", 0.25)
+	frames := []*trace.Scene{s}
+	a, err := BuildRasterArtifact(ctx, frames, 64, distrib.BlockKind, 8, ArtifactOpts{SpansOnly: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var geoms []cache.Config
+	for kb := 1; kb <= 128; kb *= 2 {
+		geoms = append(geoms, cache.Config{SizeBytes: kb << 10, Ways: 4, LineBytes: 64})
+	}
+	b.Run("per-geometry", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range geoms {
+				if _, err := RecordMisses(ctx, a, frames, []cache.Config{g}, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("one-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := RecordMisses(ctx, a, frames, geoms, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -20,9 +20,10 @@ import (
 // TestMissRecordMatchesLive: a machine replaying a miss record reproduces the
 // live-probing run byte for byte at geometries where the engine accounts a
 // run's repeats in bulk and where it probes every fragment (RepeatHits
-// false: 1-way, 2-way, one set), on one frame and across a two-frame
-// sequence, on both kernels, behind an L2, at bus ratios whose clocks are
-// integral (1) and fractional (1.5, 3), and at prefetch depths 1, 32 and 33.
+// false: 1-way, 2-way, one set), all recorded in one pass, on one frame and
+// across a two-frame sequence, on both kernels, behind an L2, at bus ratios
+// whose clocks are integral (1) and fractional (1.5, 3), and at prefetch
+// depths 1, 32 and 33.
 // Each replaying machine runs twice, the second run after the Reset every
 // run begins with. The record holds exactly one event per probe that
 // misses, and one per work item.
@@ -46,11 +47,12 @@ func TestMissRecordMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range geoms {
-			rec, err := RecordMisses(ctx, a, g, 2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+		recs, err := RecordMisses(ctx, a, frames, geoms, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, g := range geoms {
+			rec := recs[gi]
 			checkEventCounts(t, a, g, rec)
 			for _, buf := range []int{DefaultTriangleBuffer, goldenSmallBuffer} {
 				for _, l2 := range []bool{false, true} {
@@ -147,64 +149,15 @@ func checkEventCounts(t *testing.T, a *RasterArtifact, g cache.Config, rec *Miss
 	}
 }
 
-// TestMissRecordReusesBuffer: a record made with reuse takes over the
-// released record's node buffers and still replays its own geometry
-// exactly.
-func TestMissRecordReusesBuffer(t *testing.T) {
-	ctx := context.Background()
-	s := benchSceneFor(t, "truc640", 0.1)
-	a, err := BuildRasterArtifact(ctx, []*trace.Scene{s}, 4, distrib.BlockKind, 16, ArtifactOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := cache.Config{SizeBytes: 1024, Ways: 4, LineBytes: 64}
-	old, err := RecordMisses(ctx, a, small, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldNodes := slices.Clone(old.nodes)
-	rec, err := RecordMisses(ctx, a, cache.PaperConfig(), 0, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, ev := range rec.nodes {
-		if len(ev) == 0 || len(ev) > len(oldNodes[p]) {
-			t.Fatalf("node %d: %d events at 16 KB, %d at 1 KB: want fewer, but some", p, len(ev), len(oldNodes[p]))
-		}
-		if &ev[0] != &oldNodes[p][0] {
-			t.Errorf("node %d: record did not reuse the released record's buffer", p)
-		}
-	}
-	cfg := Config{Procs: 4, Bus: memory.BusConfig{TexelsPerCycle: 1}}
-	live, err := Simulate(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetRasterArtifact(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMissRecord(rec); err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 2; run++ { // a rerun rewinds the replay
-		if got := m.Run(); digestJSON(t, got) != digestJSON(t, live) {
-			t.Errorf("run %d: replay of a reused buffer diverged from live probing", run)
-		}
-	}
-}
-
 // TestMissRecordConcurrentRecordings: recordings running at once, as the
-// sweep planner runs them for a class's geometries, each match a recording
-// made alone on one worker (run it under -race: they share scratch
-// buffers).
+// sweep planner runs them for different classes, each match recordings of
+// one geometry at a time on one worker (run it under -race: the workers of
+// one recording share its caches and buffers across nodes).
 func TestMissRecordConcurrentRecordings(t *testing.T) {
 	ctx := context.Background()
 	s := benchSceneFor(t, "truc640", 0.1)
-	a, err := BuildRasterArtifact(ctx, []*trace.Scene{s}, 16, distrib.BlockKind, 8, ArtifactOpts{})
+	frames := []*trace.Scene{s}
+	a, err := BuildRasterArtifact(ctx, frames, 16, distrib.BlockKind, 8, ArtifactOpts{SpansOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,29 +165,34 @@ func TestMissRecordConcurrentRecordings(t *testing.T) {
 	for kb := 1; kb <= 32; kb *= 2 {
 		geoms = append(geoms, cache.Config{SizeBytes: kb << 10, Ways: 4, LineBytes: 64})
 	}
-	for round := 0; round < 3; round++ {
-		recs := make([]*MissRecord, len(geoms))
-		errs := make([]error, len(geoms))
-		var wg sync.WaitGroup
-		for i, g := range geoms {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				recs[i], errs[i] = RecordMisses(ctx, a, g, 4, nil)
-			}()
+	alone := make([]*MissRecord, len(geoms))
+	for i, g := range geoms {
+		recs, err := RecordMisses(ctx, a, frames, []cache.Config{g}, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for i, g := range geoms {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			alone, err := RecordMisses(ctx, a, g, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := range alone.nodes {
-				if !slices.Equal(recs[i].nodes[p], alone.nodes[p]) {
-					t.Fatalf("round %d %+v node %d: concurrent recording differs from a recording alone", round, g, p)
+		alone[i] = recs[0]
+	}
+	const concurrent = 3
+	recs := make([][]*MissRecord, concurrent)
+	errs := make([]error, concurrent)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i], errs[i] = RecordMisses(ctx, a, frames, geoms, 4)
+		}()
+	}
+	wg.Wait()
+	for i := range recs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for g := range geoms {
+			for p := range alone[g].nodes {
+				if !slices.Equal(recs[i][g].nodes[p], alone[g].nodes[p]) {
+					t.Fatalf("recording %d %+v node %d: differs from a recording of the geometry alone", i, geoms[g], p)
 				}
 			}
 		}
@@ -263,10 +221,11 @@ func TestMissRecordForeignEventsFail(t *testing.T) {
 		name      string
 		from, run *RasterArtifact
 	}{{"two-frame record, one frame run", two, one}, {"one-frame record, two frames run", one, two}} {
-		rec, err := RecordMisses(ctx, c.from, cache.PaperConfig(), 0, nil)
+		recs, err := RecordMisses(ctx, c.from, frames[:len(c.from.Frames)], []cache.Config{cache.PaperConfig()}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := recs[0]
 		rec.artifact = c.run
 		for _, buf := range []int{DefaultTriangleBuffer, goldenSmallBuffer} {
 			m, err := NewMachine(s, Config{Procs: 4, TriangleBuffer: buf, Bus: memory.BusConfig{TexelsPerCycle: 1}})
@@ -286,9 +245,12 @@ func TestMissRecordForeignEventsFail(t *testing.T) {
 	}
 }
 
-// TestSetMissRecordRejectsMismatch: a record attaches only to a real-cache
-// machine of its geometry that has its artifact attached, and a run refuses
-// a record whose artifact was swapped out after attaching.
+// TestSetMissRecordRejectsMismatch: a recording refuses frames other than
+// its artifact's (and records empty streams for a frameless one); a record
+// attaches only to a real-cache machine of its geometry that has its
+// artifact attached, and behind an L2 only when that artifact carries the
+// footprints the L2 probes; and a run refuses a record whose artifact was
+// swapped out after attaching.
 func TestSetMissRecordRejectsMismatch(t *testing.T) {
 	ctx := context.Background()
 	s := benchSceneFor(t, "truc640", 0.1)
@@ -299,14 +261,33 @@ func TestSetMissRecordRejectsMismatch(t *testing.T) {
 		}
 		return a
 	}
-	a, other := build(ArtifactOpts{}), build(ArtifactOpts{})
-	if _, err := RecordMisses(ctx, build(ArtifactOpts{SpansOnly: true}), cache.PaperConfig(), 0, nil); err == nil {
-		t.Error("recorded misses from a spans-only artifact")
+	a, other, spans := build(ArtifactOpts{}), build(ArtifactOpts{}), build(ArtifactOpts{SpansOnly: true})
+	renamed, fewer := *s, *s
+	renamed.Name += "-renamed"
+	fewer.Triangles = fewer.Triangles[1:]
+	for name, frames := range map[string][]*trace.Scene{
+		"no frames":            nil,
+		"two frames":           {s, s},
+		"other name":           {&renamed},
+		"other triangle count": {&fewer},
+	} {
+		if _, err := RecordMisses(ctx, a, frames, []cache.Config{cache.PaperConfig()}, 0); err == nil {
+			t.Errorf("%s: recorded misses from frames the artifact was not built from", name)
+		}
 	}
-	rec, err := RecordMisses(ctx, a, cache.PaperConfig(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	frameless := *a
+	frameless.Frames = nil
+	if recs, err := RecordMisses(ctx, &frameless, nil, []cache.Config{cache.PaperConfig()}, 0); err != nil || len(recs) != 1 {
+		t.Errorf("frameless artifact: %v, %v; want one record of empty streams", recs, err)
 	}
+	record := func(art *RasterArtifact) *MissRecord {
+		recs, err := RecordMisses(ctx, art, []*trace.Scene{s}, []cache.Config{cache.PaperConfig()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs[0]
+	}
+	rec := record(a)
 	machine := func(cfg Config, art *RasterArtifact) *Machine {
 		m, err := NewMachine(s, cfg)
 		if err != nil {
@@ -330,6 +311,14 @@ func TestSetMissRecordRejectsMismatch(t *testing.T) {
 		if err := m.SetMissRecord(rec); err == nil {
 			t.Errorf("%s: attached a mismatched miss record", name)
 		}
+	}
+	withL2 := realCfg
+	withL2.L2Config = l2Config()
+	if err := machine(withL2, spans).SetMissRecord(record(spans)); err == nil {
+		t.Error("attached a spans-only artifact's record behind an L2")
+	}
+	if err := machine(withL2, a).SetMissRecord(rec); err != nil {
+		t.Errorf("a footprint artifact's record behind an L2: %v", err)
 	}
 	m := machine(realCfg, a)
 	if err := m.SetMissRecord(rec); err != nil {
@@ -363,10 +352,11 @@ func TestMissRecordAllocatesNoL1Tags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecordMisses(ctx, a, big, 0, nil)
+	recs, err := RecordMisses(ctx, a, []*trace.Scene{s}, []cache.Config{big}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := recs[0]
 	allocated := func(withRecord bool) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -153,7 +153,7 @@ func TestMissEventsMatchLiveProbe(t *testing.T) {
 		var ev MissEvents
 		probe := cache.New(g)
 		for _, w := range works {
-			ev = RecordMisses(probe, w, ev)
+			ev = recordAlone(probe, w, ev)
 		}
 		for _, depth := range []int{1, 2, 32, 33} {
 			for _, tpc := range []float64{0.25, 1, 1.5, 3, 0} {
@@ -213,8 +213,8 @@ func TestMissEventsMismatchLeftOver(t *testing.T) {
 	_, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
 	w := PrecomputedWork{Segments: []raster.Span{{Y: 0, X0: 0, X1: 10}}}
 	identityWork(tex, w.Segments...).Record(&w)
-	one := RecordMisses(cache.New(cache.PaperConfig()), &w, nil)
-	two := RecordMisses(cache.New(cache.PaperConfig()), &w, slices.Clone(one))
+	one := recordAlone(cache.New(cache.PaperConfig()), &w, nil)
+	two := recordAlone(cache.New(cache.PaperConfig()), &w, slices.Clone(one))
 	for _, c := range []struct {
 		name  string
 		ev    MissEvents
@@ -246,7 +246,7 @@ func TestMissEventsBridgeLongGaps(t *testing.T) {
 	var ev MissEvents
 	probe := cache.New(cache.PaperConfig())
 	for _, w := range works {
-		ev = RecordMisses(probe, w, ev)
+		ev = recordAlone(probe, w, ev)
 	}
 	// cold: miss, end; long: two bridging events, miss, end.
 	if len(ev) != 6 || ev[2]&0x1ff != 0 || ev[3]&0x1ff != 0 || uint8(ev[4]) == 0 {

@@ -27,22 +27,28 @@
 // model's RepeatHits holds, and once per fragment of the run otherwise; a
 // pure-scan engine makes no calls. Nothing else — not the bus, the buffers,
 // the prefetch depth nor the setup cost — changes which calls are made or
-// what they return, so RecordMisses, which makes exactly these calls, keeps
-// every miss a replay of the same work sees as a miss event (MissEvents),
-// and those events stand in for the L1 of any configuration with the same
-// cache geometry (NewReplaying). A replaying engine's work is proportional
-// to triangles plus misses, not to fragments: between two events every
-// fragment hit, so it advances the clock over the stretch with hits, and at
-// each event it does scanFragment's miss arithmetic. Without an L2 it never reads
-// the footprints. In a memoized dense sweep (8 cache sizes × 4 bus ratios
-// on 64 nodes, perfbench sweep_dense; pprof of 4 rounds of its three specs,
-// 2-core Xeon, Go 1.24) replay takes 25% of the CPU time — replayMisses 21%
-// with hits and scanFragment inside it — recording, one probe pass per cache
-// geometry and raster class, 57% (SetAssoc.AccessFootprint 40%), and
-// artifact builds 14%. Before miss events, replay took 54%.
+// what they return, so RecordMisses, which makes exactly these probes
+// (through ProbeFootprint, AccessFootprint's body, skipping only probes
+// proven to hit and change nothing), keeps every miss a replay of the same
+// work sees as a miss event (MissEvents), and those events stand in for the
+// L1 of any configuration with the same cache geometry (NewReplaying). A
+// replaying engine's work is proportional to triangles plus misses, not to
+// fragments: between two events every fragment hit, so it advances the
+// clock over the stretch with hits, and at each event it does
+// scanFragment's miss arithmetic. Without an L2 it never reads the
+// footprints. In a memoized dense sweep (8 cache sizes × 4 bus ratios on 64
+// nodes, perfbench sweep_dense; pprof of 4 rounds of its three specs,
+// 2-core Xeon, Go 1.24) replay takes 40% of the CPU time — replayMisses 32%
+// with hits and scanFragment inside it — the recording pass, one per raster
+// class over all its geometries (RecordMisses over Chains), 50%:
+// SetAssoc.ProbeFootprint 27% and footprint generation 11%. Spans-only
+// artifact builds take 4%. With one recording pass per geometry, over
+// footprints stored in the artifact, the shares were 26%, 52% (the probe
+// 39%) and 13%, and the rounds took 1.6× the wall time.
 package engine
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -187,29 +193,88 @@ func (e *Engine) replayMisses(start float64, w *PrecomputedWork) float64 {
 	return s
 }
 
-// RecordMisses probes c with w's footprints as ProcessPrecomputed on an
-// engine whose L1 is c does (the package comment's probe-order contract)
-// and appends w's miss events to out: one per probe that misses, then the
-// item end.
-func RecordMisses(c cache.Model, w *PrecomputedWork, out MissEvents) MissEvents {
+// RecordMisses probes every cache of chain with w's footprints as
+// ProcessPrecomputed on an engine whose L1 is that cache does (the package
+// comment's probe-order contract) and appends w's miss events for chain[i]
+// to outs[i]: one per probe that misses, then the item end. from[i] counts
+// w's fragments up to and including stream i's last event so far, so the
+// next event's gap is the fragments since. It is zero on entry and again on
+// return; the caller keeps it only so that a call allocates nothing.
+//
+// chain is one of Chains' chains, in order. Each probe walks it smallest
+// first, and at the first cache the probe leaves still, every later cache
+// hits without a lookup: a line that is its set's MRU in a cache is the
+// most recent reference among the lines of that set, so it is also the most
+// recent among the fewer lines of its set in a cache whose sets split those
+// of the first, and so its MRU there.
+func RecordMisses(chain []*cache.SetAssoc, w *PrecomputedWork, outs []MissEvents, from []int) {
 	probes := int32(1) // per run: its repeats hit
-	if !c.RepeatHits() {
+	if !chain[0].RepeatHits() {
 		probes = math.MaxInt32 // per fragment
 	}
-	gap := 0
+	f := 0 // fragments of w before the probed one
 	for r, reps := range w.Reps {
 		foot := (*[8]texture.Addr)(w.Addrs[r*8 : r*8+8])
 		n := min(reps, probes)
 		for range n {
-			if missed := c.AccessFootprint(foot); missed != 0 {
-				out, gap = appendMissEvent(out, gap, uint32(missed)), 0
-			} else {
-				gap++
+			for i, c := range chain {
+				missed, still := c.ProbeFootprint(foot)
+				if missed != 0 {
+					outs[i], from[i] = appendMissEvent(outs[i], f-from[i], uint32(missed)), f+1
+				} else if still {
+					break
+				}
+			}
+			f++
+		}
+		f += int(reps - n)
+	}
+	for i := range chain {
+		outs[i], from[i] = appendMissEvent(outs[i], f-from[i], missEnd), 0
+	}
+}
+
+// Chains partitions cache geometries into RecordMisses chains, smallest
+// first: each geometry joins the first chain whose last geometry it can
+// follow and otherwise starts its own. It returns the geometries' indices
+// chain by chain and each chain's end in that order.
+func Chains(cfgs []cache.Config) (order, ends []int) {
+	bySize := make([]int, len(cfgs))
+	for i := range bySize {
+		bySize[i] = i
+	}
+	slices.SortStableFunc(bySize, func(i, j int) int {
+		a, b := cfgs[i], cfgs[j]
+		return cmp.Or(cmp.Compare(a.LineBytes, b.LineBytes), cmp.Compare(a.SizeBytes, b.SizeBytes), cmp.Compare(a.Ways, b.Ways))
+	})
+	var chains [][]int
+next:
+	for _, g := range bySize {
+		for k, ch := range chains {
+			if follows(cfgs[ch[len(ch)-1]], cfgs[g]) {
+				chains[k] = append(ch, g)
+				continue next
 			}
 		}
-		gap += int(reps - n)
+		chains = append(chains, []int{g})
 	}
-	return appendMissEvent(out, gap, missEnd)
+	for _, ch := range chains {
+		order = append(order, ch...)
+		ends = append(ends, len(order))
+	}
+	return order, ends
+}
+
+// follows reports whether geometry g may follow prev in a chain: the same
+// line size and RepeatHits, so the two see the same probes, at least as
+// many ways, and a set count that is a multiple of prev's. Bit-selection
+// indexing then sends each of g's sets a subsequence of one of prev's sets'
+// references, and LRU with at least as many ways keeps a superset of its
+// lines (Mattson et al. 1970; Hill and Smith 1989): a probe's miss mask on
+// g is a subset of its mask on prev.
+func follows(prev, g cache.Config) bool {
+	return g.LineBytes == prev.LineBytes && g.RepeatHits() == prev.RepeatHits() &&
+		g.Ways >= prev.Ways && g.Sets()%prev.Sets() == 0
 }
 
 // appendMissEvent appends the event low (a mask or missEnd) after gap hit

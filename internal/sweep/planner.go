@@ -11,14 +11,20 @@
 //
 // The cache probe memoizes one level further down. A node's L1 hit/miss
 // sequence depends only on its footprint stream and the cache geometry, so
-// inside a memoized real-cache class the planner keys sub-classes by L1
-// geometry, records each multi-member sub-class's L1 misses once into a
-// core.MissRecord, and replays them into every member, whatever its bus or
-// buffer depth. NoMemo turns this off with the rest.
+// a memoized real-cache class records the L1 misses of every geometry its
+// members use — one member or many — into core.MissRecords, in one pass at
+// the first member's request, and replays each into every member of that
+// geometry, whatever its bus or buffer depth. The pass costs less than the
+// live probe a lone member would make. The recording generates its own
+// footprints and a replaying member reads none, so such a class builds a
+// spans-only artifact: only members that read texel addresses from the
+// artifact (a perfect cache behind a finite bus, a cacheless node) make a
+// class build footprint streams. NoMemo turns all of this off.
 package sweep
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/cache"
@@ -53,37 +59,40 @@ type PlanStats struct {
 	Checkpointed int `json:"checkpointed"`
 	// Memoized reports whether memoization was enabled for the run.
 	Memoized bool `json:"memoized"`
-	// MissRecords is how many cache-geometry sub-classes of memoized
-	// classes had their L1 misses recorded once and replayed into
-	// every member, instead of each member probing its own caches.
+	// MissRecords is how many L1 geometries of memoized real-cache classes
+	// had their misses recorded and replayed into every member of that
+	// geometry, instead of each member probing its own caches: every
+	// geometry of such a class, one member or many, in one pass per class.
 	MissRecords int `json:"miss_records"`
 }
 
 // classState is one raster-equivalence class: its identity, whether it is
-// worth memoizing, and the lazily built shared artifact. The mutex guards
-// build-once, the member refcount and the spare record; members acquire
-// before simulating and release after, so the artifact is dropped as soon as
-// its last member is done.
+// worth memoizing, and the lazily built shared artifact and miss records.
+// The mutex guards build-once, record-once and the member refcount; members
+// acquire before simulating and release after, so the artifact and records
+// are dropped as soon as the last member is done.
 type classState struct {
 	procs, size int
-	// spansOnly is true when every member is a pure-scan machine (perfect
-	// cache, infinite bus), which never consults texel addresses — the
-	// artifact then skips footprint generation entirely.
+	// spansOnly is true when no member reads texel addresses from the
+	// artifact: every member is a pure-scan machine (perfect cache,
+	// infinite bus) or a real-cache one, which replays a miss record —
+	// the artifact then skips footprint generation entirely.
 	spansOnly bool
 	// memoized is decided once membership is complete (seal): only classes
 	// with at least two members pay for an artifact.
 	memoized bool
-	// geoms holds the class's real-cache members by L1 geometry.
-	geoms map[cache.Config]*missState
+	// geoms holds the L1 geometries of the class's real-cache members, in
+	// first-seen order.
+	geoms []cache.Config
 
 	mu        sync.Mutex
 	remaining int
 	built     bool
 	art       *core.RasterArtifact
 	err       error
-	// spare is a released miss record whose buffers the class's next
-	// recording takes over.
-	spare *core.MissRecord
+	recorded  bool
+	recs      []*core.MissRecord // parallel to geoms
+	recErr    error
 }
 
 // acquire returns the class artifact, building it on first use. Concurrent
@@ -100,60 +109,32 @@ func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.K
 	return cs.art, cs.err
 }
 
+// record returns the miss record of geometry g for the class artifact,
+// which the caller has acquired. The first call records every geometry of
+// the class in one pass on workers goroutines; like a build, it blocks
+// concurrent members, and a failure is returned to every member.
+func (cs *classState) record(ctx context.Context, sc *trace.Scene, g cache.Config, workers int) (*core.MissRecord, error) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if !cs.recorded {
+		cs.recs, cs.recErr = core.RecordMisses(ctx, cs.art, []*trace.Scene{sc}, cs.geoms, workers)
+		cs.recorded = true
+	}
+	if cs.recErr != nil {
+		return nil, cs.recErr
+	}
+	return cs.recs[slices.Index(cs.geoms, g)], nil
+}
+
 // release drops one member's reference; the last release frees the artifact
-// and any spare miss record.
+// and the miss records.
 func (cs *classState) release() {
 	cs.mu.Lock()
 	cs.remaining--
 	if cs.remaining == 0 {
-		cs.art, cs.spare = nil, nil
+		cs.art, cs.recs = nil, nil
 	}
 	cs.mu.Unlock()
-}
-
-// missState is one cache-geometry sub-class of a class: its members share
-// one lazily recorded miss record, refcounted like the class artifact.
-type missState struct {
-	cfg cache.Config
-	// recorded is decided at seal: the class memoizes and the sub-class
-	// has at least two members.
-	recorded bool
-
-	mu        sync.Mutex
-	remaining int
-	built     bool
-	rec       *core.MissRecord
-	err       error
-}
-
-// acquire returns the sub-class's miss record for art, recording it on
-// first use on workers goroutines into the class's spare buffer, if any.
-func (ms *missState) acquire(ctx context.Context, cs *classState, art *core.RasterArtifact, workers int) (*core.MissRecord, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if !ms.built {
-		cs.mu.Lock()
-		spare := cs.spare
-		cs.spare = nil
-		cs.mu.Unlock()
-		ms.rec, ms.err = core.RecordMisses(ctx, art, ms.cfg, workers, spare)
-		ms.built = true
-	}
-	return ms.rec, ms.err
-}
-
-// release drops one member's reference; the last release hands the record
-// to the class as its spare. Members release the record before the class.
-func (ms *missState) release(cs *classState) {
-	ms.mu.Lock()
-	ms.remaining--
-	if ms.remaining == 0 && ms.rec != nil {
-		cs.mu.Lock()
-		cs.spare = ms.rec
-		cs.mu.Unlock()
-		ms.rec = nil
-	}
-	ms.mu.Unlock()
 }
 
 // plan is the class partition of one sweep. Classes are kept in first-seen
@@ -170,32 +151,29 @@ func newPlan(memo bool) *plan {
 }
 
 // add registers one simulation (a sweep point or a baseline) with the class
-// it belongs to and returns that class and, for a real cache of geometry g,
-// its geometry sub-class. ck and bus narrow the class's spans-only
-// eligibility: one member that consults addresses forces full footprints
-// for the whole class.
-func (p *plan) add(spec Spec, procs, size int, ck core.CacheKind, g cache.Config, bus float64) (*classState, *missState) {
+// it belongs to and returns that class; a real-cache member registers its L1
+// geometry g. ck and bus narrow the class's spans-only eligibility: one
+// member that reads addresses from the artifact (a perfect cache behind a
+// finite bus, or a cacheless node) forces full footprints for the whole
+// class.
+func (p *plan) add(spec Spec, procs, size int, ck core.CacheKind, g cache.Config, bus float64) *classState {
 	key := spec.RasterClassKey(procs, size)
 	cs := p.byKey[key]
 	if cs == nil {
-		cs = &classState{procs: procs, size: size, spansOnly: true, geoms: make(map[cache.Config]*missState)}
+		cs = &classState{procs: procs, size: size, spansOnly: true}
 		p.byKey[key] = cs
 		p.order = append(p.order, cs)
 	}
 	cs.remaining++
-	if ck != core.CachePerfect || bus != 0 {
+	switch {
+	case ck == core.CacheReal:
+		if !slices.Contains(cs.geoms, g) {
+			cs.geoms = append(cs.geoms, g)
+		}
+	case ck != core.CachePerfect || bus != 0:
 		cs.spansOnly = false
 	}
-	if ck != core.CacheReal {
-		return cs, nil
-	}
-	ms := cs.geoms[g]
-	if ms == nil {
-		ms = &missState{cfg: g}
-		cs.geoms[g] = ms
-	}
-	ms.remaining++
-	return cs, ms
+	return cs
 }
 
 // seal closes membership: decides which classes memoize and fills the
@@ -207,14 +185,9 @@ func (p *plan) seal(points, baselines int) {
 		p.stats.Classes++
 		if cs.memoized {
 			p.stats.Rasterizations++
+			p.stats.MissRecords += len(cs.geoms)
 		} else {
 			p.stats.Rasterizations += cs.remaining
-		}
-		for _, ms := range cs.geoms {
-			ms.recorded = cs.memoized && ms.remaining >= 2
-			if ms.recorded {
-				p.stats.MissRecords++
-			}
 		}
 	}
 	p.stats.Saved = points + baselines - p.stats.Rasterizations

@@ -3,9 +3,18 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/distrib"
+	"repro/internal/scene"
+	"repro/internal/trace"
 )
 
 // runMemoPair runs the spec with and without memoization and fails unless
@@ -93,7 +102,7 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 }
 
 // TestMissRecordSweepMatchesNoMemo: in a cache × bus × buffer sweep every
-// member of a cache-geometry sub-class replays one recorded miss record, the
+// member of a class replays the miss record of its cache geometry, the
 // small buffer on the event kernel and the big one decoupled, and the rows
 // still match the unmemoized sweep byte for byte.
 func TestMissRecordSweepMatchesNoMemo(t *testing.T) {
@@ -119,8 +128,11 @@ func TestMissRecordSweepMatchesNoMemo(t *testing.T) {
 }
 
 // TestPlanMissRecordsDenseSpec: the benchmark's dense sweep axes (8 cache
-// sizes × 4 bus ratios on 64 processors) record 16 miss records, one per
-// cache geometry in each of the 2 classes, and none under NoMemo.
+// sizes × 4 bus ratios on 64 processors) record 16 miss records, every
+// cache geometry of each of the 2 classes, and none under NoMemo. With the
+// cache axis alone each geometry of the 64-processor class has one member,
+// and the class still records all 8 in one pass, from a spans-only
+// artifact.
 func TestPlanMissRecordsDenseSpec(t *testing.T) {
 	spec := Spec{
 		Scene:  "quake",
@@ -135,6 +147,154 @@ func TestPlanMissRecordsDenseSpec(t *testing.T) {
 	memo, plain := runMemoPair(t, spec, RunOpts{Parallelism: 2})
 	if memo.Classes != 2 || memo.MissRecords != 16 || plain.MissRecords != 0 {
 		t.Errorf("memoized plan %+v, NoMemo plan %+v", memo, plain)
+	}
+	spec.Buses, spec.Bus = nil, 1
+	if memo, _ := runMemoPair(t, spec, RunOpts{Parallelism: 2}); memo.Classes != 2 || memo.MissRecords != 16 {
+		t.Errorf("cache axis alone: memoized plan %+v", memo)
+	}
+	var members []member
+	for _, kb := range spec.Caches {
+		members = append(members, member{core.CacheReal, cacheConfigKB(kb), 1})
+	}
+	pl, cs, sc := sealedClass(t, spec, members)
+	if pl.stats.MissRecords != len(spec.Caches) {
+		t.Errorf("one member per geometry: plan %+v", pl.stats)
+	}
+	art, err := cs.acquire(context.Background(), sc, distrib.BlockKind, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.HasFootprints {
+		t.Error("a memoized real-cache class built footprint streams no member reads")
+	}
+	for _, m := range members {
+		rec, err := cs.record(context.Background(), sc, m.geom, 2)
+		if err != nil || rec.Cache != m.geom {
+			t.Errorf("%+v: record %v, %v", m.geom, rec, err)
+		}
+	}
+}
+
+// member is one simulation registered with a plan.
+type member struct {
+	kind core.CacheKind
+	geom cache.Config
+	bus  float64
+}
+
+// sealedClass registers members in spec's (Procs[0], Sizes[0]) class of a
+// memoizing plan, seals the plan and returns it, the class and spec's
+// scene.
+func sealedClass(t *testing.T, spec Spec, members []member) (*plan, *classState, *trace.Scene) {
+	t.Helper()
+	b, err := scene.ByName(spec.Scene, spec.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPlan(true)
+	var cs *classState
+	for _, m := range members {
+		cs = pl.add(spec, spec.Procs[0], spec.Sizes[0], m.kind, m.geom, m.bus)
+	}
+	pl.seal(len(members), 0)
+	return pl, cs, sc
+}
+
+// cancelAfter is a context that cancels itself at its polls-th Err call.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int32
+	at     int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestPlanRecordCancelled: a class recording cancelled after its first node
+// fails every member blocked on it with the cancellation, and a member
+// that asks after it failed gets the same error.
+func TestPlanRecordCancelled(t *testing.T) {
+	spec := Spec{Scene: "truc640", Scale: 0.1, Dist: "block", Procs: []int{16}, Sizes: []int{8}}
+	var members []member
+	for _, kb := range []int{1, 4, 16, 64} {
+		members = append(members, member{core.CacheReal, cacheConfigKB(kb), 1})
+	}
+	_, cs, sc := sealedClass(t, spec, members)
+	if _, err := cs.acquire(context.Background(), sc, distrib.BlockKind, 1); err != nil {
+		t.Fatal(err)
+	}
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelAfter{Context: parent, cancel: cancel, at: 2}
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = cs.record(ctx, sc, m.geom, 1)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("member %d: %v, want the cancellation", i, err)
+		}
+	}
+	if n := ctx.polls.Load(); n != 2 {
+		t.Errorf("recording polled its context %d times, want 2: one node, then the cancellation", n)
+	}
+	if _, err := cs.record(context.Background(), sc, members[0].geom, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("late member: %v, want the remembered cancellation", err)
+	}
+}
+
+// TestPlannerFootprintClasses: a class builds footprint streams exactly when
+// a member reads them from the artifact — a perfect cache behind a finite
+// bus or a cacheless node, alone or beside real-cache members — and such
+// sweeps still memoize and match NoMemo byte for byte. Real-cache classes
+// replay miss records and pure-scan classes read spans alone.
+func TestPlannerFootprintClasses(t *testing.T) {
+	for _, c := range []struct {
+		cache string
+		bus   float64
+	}{{"perfect", 2}, {"none", 1}} {
+		spec := Spec{Scene: "truc640", Scale: 0.1, Procs: []int{4}, Sizes: []int{8}, Cache: c.cache,
+			Bus: c.bus, Buffers: []int{16, 20000}}
+		if memo, _ := runMemoPair(t, spec, RunOpts{Parallelism: 2}); memo.Rasterizations != 2 || memo.MissRecords != 0 {
+			t.Errorf("%s cache, bus %v: plan %+v", c.cache, c.bus, memo)
+		}
+	}
+	paper := cache.PaperConfig()
+	spec := Spec{Scene: "truc640", Scale: 0.1, Dist: "block", Procs: []int{4}, Sizes: []int{8}}
+	for _, c := range []struct {
+		name       string
+		members    []member
+		footprints bool
+	}{
+		{"real", []member{{core.CacheReal, paper, 1}, {core.CacheReal, paper, 2}}, false},
+		{"pure scan", []member{{core.CachePerfect, paper, 0}, {core.CachePerfect, paper, 0}}, false},
+		{"perfect behind a bus", []member{{core.CachePerfect, paper, 0}, {core.CachePerfect, paper, 1}}, true},
+		{"cacheless", []member{{core.CacheNone, paper, 1}, {core.CacheNone, paper, 2}}, true},
+		{"real and cacheless", []member{{core.CacheReal, paper, 1}, {core.CacheNone, paper, 1}}, true},
+	} {
+		_, cs, sc := sealedClass(t, spec, c.members)
+		art, err := cs.acquire(context.Background(), sc, distrib.BlockKind, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cs.memoized || art.HasFootprints != c.footprints {
+			t.Errorf("%s: memoized %v, footprints %v, want true, %v", c.name, cs.memoized, art.HasFootprints, c.footprints)
+		}
 	}
 }
 

@@ -463,16 +463,6 @@ func (o RunOpts) nodeParallelism(nJobs int) int {
 	return nodePar
 }
 
-// Run executes the sweep on up to parallelism concurrent simulations
-// (<=0 = sequential).
-//
-// Deprecated: Run is a thin compatibility wrapper. New code should call
-// RunWith, the single sweep runner, which exposes the full execution
-// options (worker budget sharing, progress, planner knobs) on RunOpts.
-func Run(ctx context.Context, spec Spec, parallelism int) (*Result, error) {
-	return RunWith(ctx, spec, RunOpts{Parallelism: parallelism})
-}
-
 // point is one sweep point: a (procs, size) configuration at one position
 // on the optional cache/bus/buffer axes. combo indexes the speedup baseline
 // it compares against.
@@ -558,7 +548,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	}
 
 	// cacheGeom is a combo's L1 geometry (used by the real cache only),
-	// which also keys the planner's miss-record sub-classes.
+	// which also keys the miss records of the planner's classes.
 	cacheGeom := func(c combo) cache.Config {
 		if c.cacheKB > 0 {
 			return cacheConfigKB(c.cacheKB)
@@ -642,17 +632,15 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	// node 0, so one (1, Sizes[0]) class serves all baselines.
 	pl := newPlan(!opts.NoMemo)
 	baseClass := make([]*classState, len(combos))
-	baseGeom := make([]*missState, len(combos))
 	for ci, c := range combos {
 		if needBase[ci] && !haveBase[ci] {
-			baseClass[ci], baseGeom[ci] = pl.add(spec, 1, spec.Sizes[0], ck, cacheGeom(c), c.bus)
+			baseClass[ci] = pl.add(spec, 1, spec.Sizes[0], ck, cacheGeom(c), c.bus)
 		}
 	}
 	pointClass := make([]*classState, len(points))
-	pointGeom := make([]*missState, len(points))
 	for i, pt := range points {
 		if !done[i] {
-			pointClass[i], pointGeom[i] = pl.add(spec, pt.procs, pt.size, ck, cacheGeom(combos[pt.combo]), pt.bus)
+			pointClass[i] = pl.add(spec, pt.procs, pt.size, ck, cacheGeom(combos[pt.combo]), pt.bus)
 		}
 	}
 	pl.seal(len(points), len(combos))
@@ -677,10 +665,10 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	}
 
 	// runOne simulates one configuration, replaying the class artifact when
-	// the planner memoized the class, and the geometry sub-class's miss
-	// record when it recorded one. Members blocked on a recording have
-	// nothing else to do, so it runs on the whole worker budget.
-	runOne := func(cfg core.Config, cs *classState, ms *missState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
+	// the planner memoized the class and, on a real cache, the miss record
+	// of its geometry. Members blocked on a recording have nothing else to
+	// do, so it runs on the whole worker budget.
+	runOne := func(cfg core.Config, cs *classState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
 		m, err := core.NewMachine(sc, cfg)
 		if err != nil {
 			return nil, nil, err
@@ -695,16 +683,15 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			if err := m.SetRasterArtifact(art); err != nil {
 				return nil, nil, err
 			}
-			if ms != nil && ms.recorded {
+			if cfg.CacheKind == core.CacheReal {
 				recordPar := nodePar // 0 = GOMAXPROCS, already the whole machine
 				if recordPar > 0 {
 					recordPar = max(recordPar, opts.Parallelism)
 				}
-				rec, err := ms.acquire(ctx, cs, art, recordPar)
+				rec, err := cs.record(ctx, sc, cfg.CacheConfig, recordPar)
 				if err != nil {
 					return nil, nil, err
 				}
-				defer ms.release(cs)
 				if err := m.SetMissRecord(rec); err != nil {
 					return nil, nil, err
 				}
@@ -730,7 +717,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		if !needBase[ci] || haveBase[ci] {
 			return nil
 		}
-		res, _, err := runOne(mkConfig(1, spec.Sizes[0], combos[ci]), baseClass[ci], baseGeom[ci], basePar, 0, false)
+		res, _, err := runOne(mkConfig(1, spec.Sizes[0], combos[ci]), baseClass[ci], basePar, 0, false)
 		if err != nil {
 			return err
 		}
@@ -764,7 +751,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, rowHash)
 		}
 		cfg := mkConfig(pt.procs, pt.size, combos[pt.combo])
-		res, rec, err := runOne(cfg, pointClass[i], pointGeom[i], nodePar, spec.FlightInterval, spec.Flight)
+		res, rec, err := runOne(cfg, pointClass[i], nodePar, spec.FlightInterval, spec.Flight)
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
